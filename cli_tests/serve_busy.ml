@@ -1,11 +1,12 @@
-(* Drives a real [adtc serve --socket --max-clients 1] subprocess through
-   its busy-backpressure and graceful-shutdown paths, printing a
-   deterministic transcript for the expect test:
+(* Drives a real [adtc serve --socket --max-clients 1 --domains 1]
+   subprocess through its busy-backpressure and graceful-shutdown paths,
+   printing a deterministic transcript for the expect test:
 
    - client A takes the single slot and is served;
    - client B is refused with [error busy] and closed;
    - A quits, freeing the slot, and a later client C is served from the
-     same session (the shared cache is already warm: steps=0);
+     same session (the shared cache is already warm: steps=0 — memos are
+     per domain, so this holds with the one domain the server is given);
    - SIGTERM shuts the server down gracefully and removes its socket. *)
 
 let die fmt =
@@ -58,7 +59,8 @@ let () =
   if Sys.file_exists path then Sys.remove path;
   let pid =
     Unix.create_process adtc
-      [| adtc; "serve"; spec; "--socket"; path; "--max-clients"; "1" |]
+      [| adtc; "serve"; spec; "--socket"; path; "--max-clients"; "1";
+         "--domains"; "1" |]
       Unix.stdin Unix.stdout Unix.stderr
   in
   let a = connect path in

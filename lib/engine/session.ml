@@ -17,14 +17,18 @@ type slot = { interp : Interp.t; lock : Mutex.t }
 
 (* One specification's slice of the persistent store: the normal forms
    and meta payloads loaded at boot (the warm start) plus everything this
-   process computed since, buffered in [pending] until a flush writes the
-   whole entry back atomically. Keyed in memory by [Term.id] — hash-consed
-   terms make the probe a pointer hash — and on disk by the canonical
-   [Term.to_string] rendering, which survives process restarts. *)
+   process computed since, buffered in [pending] until a flush appends
+   them to the entry as one checksummed frame. Keyed in memory by
+   [Term.id] — hash-consed terms make the probe a pointer hash — and on
+   disk by the canonical [Term.to_string] rendering, which survives
+   process restarts. The key terms of the records loaded at boot are held
+   in [warm_keys]: the intern table is weak, and a reclaimed key would
+   re-parse to a fresh id that misses. *)
 type persist_state = {
   digest : string;  (* Spec_digest.spec — the on-disk entry this feeds *)
   plock : Mutex.t;
   nf : (int, Term.t * int) Hashtbl.t;  (* term id -> normal form, cold steps *)
+  warm_keys : Term.t list;  (* the loaded nf keys, kept interned *)
   meta : (string * string, string) Hashtbl.t;  (* (kind, key) -> payload *)
   mutable pending : Persist.Store.record list;  (* newest first *)
   mutable hits : int;
@@ -57,11 +61,12 @@ type t = {
    for constructor/stuck normal forms and [E steps Sort] for errors —
    [error] alone has no parseable rendering, the sort rebuilds it. *)
 
-let nf_record_value value steps =
+let nf_record value steps =
   match value with
   | Interp.Value nf | Interp.Stuck nf ->
-    Some (Fmt.str "T %d %s" steps (Term.to_string nf))
-  | Interp.Error_value sort -> Some (Fmt.str "E %d %s" steps (Sort.name sort))
+    Some (nf, Fmt.str "T %d %s" steps (Term.to_string nf))
+  | Interp.Error_value sort ->
+    Some (Term.err sort, Fmt.str "E %d %s" steps (Sort.name sort))
   | Interp.Diverged -> None
 
 let split_word s =
@@ -93,6 +98,7 @@ let load_persist store spec =
   let digest = Spec_digest.spec spec in
   let nf = Hashtbl.create 256 in
   let meta = Hashtbl.create 16 in
+  let warm_keys = ref [] in
   let parse_corrupt = ref 0 in
   let loaded = ref 0 in
   List.iter
@@ -105,6 +111,7 @@ let load_persist store spec =
           | None -> incr parse_corrupt
           | Some cached ->
             Hashtbl.replace nf (Term.id term) cached;
+            warm_keys := term :: !warm_keys;
             incr loaded)
       else begin
         Hashtbl.replace meta
@@ -117,6 +124,7 @@ let load_persist store spec =
     digest;
     plock = Mutex.create ();
     nf;
+    warm_keys = !warm_keys;
     meta;
     pending = [];
     hits = 0;
@@ -210,13 +218,14 @@ let docs t = t.docs
 
 let flush_locked store p =
   if p.pending <> [] then begin
-    (* oldest first, so a later record for the same (kind, key) wins the
-       store's replace-on-merge *)
+    (* oldest first, so a later record for the same (kind, key) is the
+       one the store's load keeps *)
     Persist.Store.append store ~digest:p.digest (List.rev p.pending);
     p.pending <- []
   end
 
-(* writes amortize: a flush rewrites the whole entry file, so batch them *)
+(* writes amortize: a flush appends one frame (one open, one write), so
+   batch records rather than paying that per request *)
 let pending_flush_threshold = 64
 
 let persist_find entry term =
@@ -234,24 +243,20 @@ let persist_find entry term =
           None)
 
 let persist_record t entry term value steps =
-  match (t.store, entry.persist, nf_record_value value steps) with
-  | Some store, Some p, Some encoded ->
+  match (t.store, entry.persist) with
+  | Some store, Some p ->
     Mutex.protect p.plock (fun () ->
-        if not (Hashtbl.mem p.nf (Term.id term)) then begin
-          let nf =
-            match value with
-            | Interp.Value nf | Interp.Stuck nf -> nf
-            | Interp.Error_value sort -> Term.err sort
-            | Interp.Diverged -> assert false (* nf_record_value is None *)
-          in
-          Hashtbl.replace p.nf (Term.id term) (nf, steps);
-          p.pending <-
-            { Persist.Store.kind = "nf"; key = Term.to_string term;
-              value = encoded }
-            :: p.pending;
-          if List.length p.pending >= pending_flush_threshold then
-            flush_locked store p
-        end)
+        if not (Hashtbl.mem p.nf (Term.id term)) then
+          match nf_record value steps with
+          | None -> ()
+          | Some (nf, encoded) ->
+            Hashtbl.replace p.nf (Term.id term) (nf, steps);
+            p.pending <-
+              { Persist.Store.kind = "nf"; key = Term.to_string term;
+                value = encoded }
+              :: p.pending;
+            if List.length p.pending >= pending_flush_threshold then
+              flush_locked store p)
   | _ -> ()
 
 let persist_meta_find entry ~kind ~key =

@@ -110,7 +110,9 @@ val store : t -> Persist.Store.t option
 val persist_find : entry -> Adt.Term.t -> (Adt.Interp.value * int) option
 (** The cached classification of the term's normal form plus the rewrite
     steps the cold run paid, when the store (or this session, earlier)
-    has seen the term under this specification digest. *)
+    has seen the term under this specification digest. The key terms
+    loaded at creation stay interned for the session's life, so a
+    re-parse of one finds its record even after a major collection. *)
 
 val persist_record : t -> entry -> Adt.Term.t -> Adt.Interp.value -> int -> unit
 (** Remembers an evaluation outcome. [Diverged] is never recorded — a
@@ -121,13 +123,14 @@ val persist_meta_find : entry -> kind:string -> key:string -> string option
 val persist_meta_record : t -> entry -> kind:string -> key:string -> string -> unit
 (** Opaque response payloads (check/lint/testgen) under the same
     digest-keyed entry. The first recording for a [(kind, key)] wins for
-    the life of the process; the store's replace-on-merge keeps the
-    newest across processes. *)
+    the life of the process; across processes the store's load keeps the
+    newest. *)
 
 val persist_flush : t -> unit
-(** Writes every entry's buffered records to the store (atomic per
-    entry). Called by the server at end of connection and shutdown; call
-    it before dropping a session whose results should survive. *)
+(** Appends every entry's buffered records to the store, one checksummed
+    frame per entry. Called by the server at end of connection and
+    shutdown; call it before dropping a session whose results should
+    survive. *)
 
 type persist_totals = {
   hits : int;

@@ -9,15 +9,21 @@
     never served for an edited specification (a different digest is a
     different file).
 
-    {b Crash safety.} Writes build the whole entry file in a temporary
-    sibling and [rename] it into place — readers see either the old
-    complete entry or the new complete entry, never a torn one. Entry
-    files carry a magic header, a format version, the digest they claim
-    to serve, and an MD5 checksum of the body; a short read, a flipped
-    bit, a foreign file, or a format bump all fail validation and are
-    {e counted and treated as a miss — never a crash and never a wrong
-    answer} (the differential suite in [test/test_persist.ml] holds the
-    engine to that).
+    {b Crash safety.} An entry file is an append-only log: a header
+    (magic, format version, the digest it claims to serve) followed by
+    one frame per {!append}, each [body length | MD5(body) | body]. An
+    append writes only its own frame, with [O_APPEND]; the file is
+    created, and compacted, by writing a temporary sibling and
+    [rename]-ing it into place. A bad header (a file cut inside it, a
+    foreign file, a format bump, another digest) is {e counted and
+    treated as a miss — never a crash and never a wrong answer} (the
+    differential suite in [test/test_persist.ml] holds the engine to
+    that). A torn or corrupt frame — a crash mid-append, a flipped bit —
+    ends the replay: it is counted once and the frames before it still
+    serve; a {!Read_write} handle cuts the file back to that valid prefix
+    so its later appends stay readable. A {!Read_only} reader racing the
+    writer's append may see the new frame half-written and count it;
+    it still serves the prefix.
 
     {b Single writer.} The first open of a directory (per machine, via
     [lockf]; per process, via an in-process registry — POSIX record
@@ -56,14 +62,21 @@ val entry_path : t -> digest:string -> string
     tests. *)
 
 val load : t -> digest:string -> record list
-(** The records of the entry, or [[]] when the entry is absent or fails
-    validation (the latter bumps {!corrupt_count}). *)
+(** The live records of the entry: the last one written per [(kind,
+    key)], in the order of those writes. [[]] when the entry is absent or
+    its header fails validation; a torn or corrupt frame ends the replay
+    early. Either failure bumps {!corrupt_count}. In {!Read_write} mode
+    the load also cuts a torn tail off the file and, when dead
+    (overwritten) records outnumber live ones, rewrites the entry
+    atomically as one frame of the live records. *)
 
 val append : t -> digest:string -> record list -> unit
-(** Merges the records into the entry — a new record replaces an
-    existing one with the same [(kind, key)] — and atomically replaces
-    the entry file. A no-op in {!Read_only} mode. Runs the size-bound
-    GC when [max_bytes] was given. *)
+(** Appends the records as one frame; a record replaces, at the next
+    {!load}, any earlier one with the same [(kind, key)]. Existing records
+    are neither read nor rewritten, except the first time this handle
+    touches the entry (or after it changed behind the handle), when it
+    is validated through {!load} first. A no-op in {!Read_only} mode.
+    Runs the size-bound GC when [max_bytes] was given. *)
 
 val corrupt_count : t -> int
 (** Validation failures observed by this handle (monotone). *)

@@ -80,16 +80,18 @@ let test_metrics_merge_law () =
 let test_concurrent_dispatch_exact () =
   let session = Session.create ~stripes:8 [ Queue_spec.spec ] in
   let n_domains = 4 and per = 50 in
+  (* workers return their replies; assertions run on the main domain
+     only, because Alcotest's reporter is not domain-safe *)
   let domains =
     List.init n_domains (fun _ ->
         Domain.spawn (fun () ->
-            for _ = 1 to per do
-              check_prefix "parallel normalize" "ok normalize"
-                (handle session
-                   "normalize Queue FRONT(REMOVE(ADD(ADD(NEW, ITEM1), ITEM2)))")
-            done))
+            List.init per (fun _ ->
+                handle session
+                  "normalize Queue FRONT(REMOVE(ADD(ADD(NEW, ITEM1), ITEM2)))")))
   in
-  List.iter Domain.join domains;
+  List.iter
+    (List.iter (check_prefix "parallel normalize" "ok normalize"))
+    (List.map Domain.join domains);
   let total = n_domains * per in
   let snap = Metrics.snapshot (Session.metrics session) in
   Alcotest.(check int) "every request counted exactly once" total

@@ -151,6 +151,153 @@ let test_wrong_digest_claim () =
     (Persist.Store.load store ~digest:d2);
   Alcotest.(check int) "counted" 1 (Persist.Store.corrupt_count store)
 
+(* {1 The frame log: appends write one frame, damage stops the replay} *)
+
+let file_size path = (Unix.stat path).Unix.st_size
+
+(* the bytes one frame holding [rs] takes: length and MD5, then the
+   record count and each record's length-prefixed fields *)
+let frame_size rs =
+  4 + 16 + 4
+  + List.fold_left
+      (fun n r ->
+        n + 2
+        + String.length r.Persist.Store.kind
+        + 4
+        + String.length r.Persist.Store.key
+        + 4
+        + String.length r.Persist.Store.value)
+      0 rs
+
+let with_store f =
+  with_dir @@ fun dir ->
+  let store = Persist.Store.open_ dir in
+  Fun.protect ~finally:(fun () -> Persist.Store.close store) @@ fun () ->
+  f store
+
+let test_append_one_frame () =
+  with_store @@ fun store ->
+  let digest = digest_of "one frame" in
+  let path = Persist.Store.entry_path store ~digest in
+  let first = [ record "nf" "k1" (String.make 500 'x') ] in
+  Persist.Store.append store ~digest first;
+  let size1 = file_size path in
+  Alcotest.(check int) "a new entry is the header and one frame"
+    (8 + 2 + 32 + frame_size first)
+    size1;
+  let second = [ record "nf" "k2" "v2"; record "lint" "Queue" "findings=0" ] in
+  Persist.Store.append store ~digest second;
+  Alcotest.(check int) "an append grows the file by exactly its frame"
+    (size1 + frame_size second)
+    (file_size path);
+  Alcotest.check records_t "both frames load" (first @ second)
+    (Persist.Store.load store ~digest)
+
+let test_torn_second_frame () =
+  with_store @@ fun store ->
+  let digest = digest_of "torn" in
+  let path = Persist.Store.entry_path store ~digest in
+  let f1 = [ record "nf" "a" "1" ] and f2 = [ record "nf" "b" "2" ] in
+  Persist.Store.append store ~digest f1;
+  let size1 = file_size path in
+  Persist.Store.append store ~digest f2;
+  (* a crash mid-append: the second frame lost its last bytes *)
+  let data = entry_bytes path in
+  write_bytes path (String.sub data 0 (String.length data - 3));
+  Alcotest.check records_t "the first frame still serves" f1
+    (Persist.Store.load store ~digest);
+  Alcotest.(check int) "the torn frame is counted once" 1
+    (Persist.Store.corrupt_count store);
+  Alcotest.(check int) "the file is cut back to the valid prefix" size1
+    (file_size path);
+  let f3 = [ record "nf" "c" "3" ] in
+  Persist.Store.append store ~digest f3;
+  Alcotest.check records_t "a later append follows the valid prefix"
+    (f1 @ f3)
+    (Persist.Store.load store ~digest);
+  Alcotest.(check int) "nothing more is counted" 1
+    (Persist.Store.corrupt_count store)
+
+let test_flip_in_second_frame () =
+  with_store @@ fun store ->
+  let digest = digest_of "flip" in
+  let path = Persist.Store.entry_path store ~digest in
+  let f1 = [ record "nf" "a" "1" ] in
+  Persist.Store.append store ~digest f1;
+  Persist.Store.append store ~digest [ record "nf" "b" "a longer value" ];
+  let b = Bytes.of_string (entry_bytes path) in
+  let i = Bytes.length b - 4 in
+  Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x40));
+  write_bytes path (Bytes.to_string b);
+  Alcotest.check records_t "the first frame survives a flip in the second"
+    f1
+    (Persist.Store.load store ~digest);
+  Alcotest.(check int) "and the flip is counted" 1
+    (Persist.Store.corrupt_count store)
+
+let test_version_1_entry () =
+  (* the previous format: one whole-file body behind a header carrying
+     its checksum and length *)
+  with_store @@ fun store ->
+  let digest = digest_of "v1" in
+  let path = Persist.Store.entry_path store ~digest in
+  let body = Buffer.create 64 in
+  Buffer.add_int32_be body 1l;
+  Buffer.add_uint16_be body 2;
+  Buffer.add_string body "nf";
+  Buffer.add_int32_be body 1l;
+  Buffer.add_string body "k";
+  Buffer.add_int32_be body 3l;
+  Buffer.add_string body "old";
+  let body = Buffer.contents body in
+  let v1 = Buffer.create 128 in
+  Buffer.add_string v1 Persist.Store.magic;
+  Buffer.add_uint16_be v1 1;
+  Buffer.add_string v1 digest;
+  Buffer.add_string v1 (Digest.string body);
+  Buffer.add_int32_be v1 (Int32.of_int (String.length body));
+  Buffer.add_string v1 body;
+  write_bytes path (Buffer.contents v1);
+  Alcotest.check records_t "a version-1 entry is a miss" []
+    (Persist.Store.load store ~digest);
+  Alcotest.(check int) "and is counted" 1 (Persist.Store.corrupt_count store);
+  (* the next append replaces it with a current entry *)
+  let fresh = [ record "nf" "k" "new" ] in
+  Persist.Store.append store ~digest fresh;
+  Alcotest.check records_t "replaced by the append" fresh
+    (Persist.Store.load store ~digest);
+  Alcotest.(check int) "counted once" 1 (Persist.Store.corrupt_count store)
+
+let test_compaction () =
+  with_store @@ fun store ->
+  let digest = digest_of "compact" in
+  let path = Persist.Store.entry_path store ~digest in
+  (* one dead record against two live: the load leaves the file alone *)
+  Persist.Store.append store ~digest [ record "nf" "k" "v1"; record "nf" "j" "w" ];
+  Persist.Store.append store ~digest [ record "nf" "k" "v2" ];
+  let size = file_size path in
+  Alcotest.check records_t "newest per key"
+    [ record "nf" "j" "w"; record "nf" "k" "v2" ]
+    (Persist.Store.load store ~digest);
+  Alcotest.(check int) "dead <= live: no rewrite" size (file_size path);
+  (* two more overwrites: three dead against two live *)
+  Persist.Store.append store ~digest [ record "nf" "k" "v3" ];
+  Persist.Store.append store ~digest [ record "nf" "k" "v4" ];
+  let live = [ record "nf" "j" "w"; record "nf" "k" "v4" ] in
+  Alcotest.check records_t "newest per key after the overwrites" live
+    (Persist.Store.load store ~digest);
+  Alcotest.(check int) "dead > live: rewritten as one frame of the live"
+    (8 + 2 + 32 + frame_size live)
+    (file_size path);
+  Alcotest.check records_t "the compacted entry loads the same" live
+    (Persist.Store.load store ~digest);
+  (* appends continue on the compacted file *)
+  Persist.Store.append store ~digest [ record "nf" "i" "u" ];
+  Alcotest.check records_t "appends follow the compacted frame"
+    (live @ [ record "nf" "i" "u" ])
+    (Persist.Store.load store ~digest);
+  Alcotest.(check int) "no corruption" 0 (Persist.Store.corrupt_count store)
+
 (* {1 Single writer} *)
 
 let test_second_open_read_only () =
@@ -352,6 +499,55 @@ let test_differential_post_edit () =
     Alcotest.(check int) "no stale hits across the edit" 0 t.Session.hits);
   Persist.Store.close store2
 
+let test_append_after_clear () =
+  (* the handle remembers the length it validated; a file deleted under
+     it (clear, GC, another process's [adtc cache clear]) is created
+     afresh, not appended to blindly *)
+  with_store @@ fun store ->
+  let digest = digest_of "cleared" in
+  Persist.Store.append store ~digest [ record "nf" "a" "1" ];
+  Alcotest.(check int) "cleared" 1 (Persist.Store.clear store);
+  let fresh = [ record "nf" "b" "2" ] in
+  Persist.Store.append store ~digest fresh;
+  Alcotest.check records_t "the entry holds the new frame only" fresh
+    (Persist.Store.load store ~digest);
+  Alcotest.(check int) "no corruption" 0 (Persist.Store.corrupt_count store)
+
+(* Regression: loaded records were keyed by the ids of terms nothing
+   kept alive, so once a major collection reclaimed a key the same term
+   re-parsed to a fresh id and missed. *)
+let test_warm_hit_after_major_gc () =
+  with_dir @@ fun dir ->
+  let spec = Adt_specs.Queue_spec.spec in
+  let store1 = Persist.Store.open_ dir in
+  let cold = Session.create ~store:store1 [ spec ] in
+  List.iter (fun r -> ignore (reply cold r)) queue_requests;
+  Session.persist_flush cold;
+  Persist.Store.close store1;
+  let store2 = Persist.Store.open_ dir in
+  Fun.protect ~finally:(fun () -> Persist.Store.close store2) @@ fun () ->
+  let warm = Session.create ~store:store2 [ spec ] in
+  Gc.full_major ();
+  let entry =
+    match Session.find warm "Queue" with
+    | Some e -> e
+    | None -> Alcotest.fail "Queue is registered"
+  in
+  List.iter
+    (fun r ->
+      let source =
+        String.sub r (String.length "normalize Queue ")
+          (String.length r - String.length "normalize Queue ")
+      in
+      match Parser.parse_term spec source with
+      | Error e -> Alcotest.failf "%s: %a" source Parser.pp_error e
+      | Ok term ->
+        Alcotest.(check bool)
+          (Fmt.str "%s hits after a major collection" source)
+          true
+          (Option.is_some (Session.persist_find entry term)))
+    queue_requests
+
 (* {1 Proof and lint persistence} *)
 
 let contains = Astring_contains.contains
@@ -448,4 +644,18 @@ let suite =
       test_proof_persists_warm;
     Alcotest.test_case "a lint pass-version bump invalidates cached verdicts"
       `Quick test_lint_pass_version_invalidates;
+    Alcotest.test_case "an append writes exactly one frame" `Quick
+      test_append_one_frame;
+    Alcotest.test_case "a torn frame serves the prefix and is cut" `Quick
+      test_torn_second_frame;
+    Alcotest.test_case "a flip in a later frame keeps the earlier" `Quick
+      test_flip_in_second_frame;
+    Alcotest.test_case "a version-1 entry is a counted miss" `Quick
+      test_version_1_entry;
+    Alcotest.test_case "dead records outnumbering live compact" `Quick
+      test_compaction;
+    Alcotest.test_case "an append after clear recreates the entry" `Quick
+      test_append_after_clear;
+    Alcotest.test_case "loaded records hit after a major collection" `Quick
+      test_warm_hit_after_major_gc;
   ]

@@ -297,6 +297,8 @@ let test_drain_retire_race_under_load () =
   let path, stop, server = start_server ~max_clients:16 session in
   let n = 8 in
   let anomalies = Array.make n "" in
+  (* answers are checked on the main thread after the join *)
+  let answers = Array.make n [] in
   let clients =
     Array.init n (fun i ->
         Thread.create
@@ -317,7 +319,7 @@ let test_drain_retire_race_under_load () =
                        worker retires them, so churn can transiently hit the
                        cap: busy is backpressure, not an anomaly *)
                     ()
-                  | r -> check_prefix "mid-load answer" "ok normalize" r
+                  | r -> answers.(i) <- r :: answers.(i)
                   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
                 | exception Sys_error _ ->
                   () (* drain closed the connection under our write *));
@@ -339,6 +341,9 @@ let test_drain_retire_race_under_load () =
       if not (String.equal a "") then
         Alcotest.failf "client %d saw an anomaly during drain: %s" i a)
     anomalies;
+  Array.iter
+    (List.iter (check_prefix "mid-load answer" "ok normalize"))
+    answers;
   Alcotest.(check bool) "socket removed after drain" false
     (Sys.file_exists path)
 
@@ -349,6 +354,8 @@ let test_multi_domain_exact_metrics () =
   let session = Session.create ~stripes:4 [ Queue_spec.spec ] in
   let path, stop, server = start_server ~domains:4 ~max_clients:32 session in
   let k = 6 and per = 25 in
+  (* workers collect their replies; the assertions run after the join *)
+  let replies = Array.make k [] in
   let workers =
     List.init k (fun i ->
         Thread.create
@@ -358,12 +365,13 @@ let test_multi_domain_exact_metrics () =
               send c
                 (Fmt.str "normalize Queue FRONT(ADD(NEW, ITEM%d))"
                    ((i mod 3) + 1));
-              check_prefix "answered" "ok normalize" (recv c)
+              replies.(i) <- recv c :: replies.(i)
             done;
             close c)
           ())
   in
   List.iter Thread.join workers;
+  Array.iter (List.iter (check_prefix "answered" "ok normalize")) replies;
   let scraper = connect path in
   send scraper "metrics";
   let header = recv scraper in
