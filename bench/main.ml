@@ -1,7 +1,8 @@
 (* Benchmark harness: one section per experiment of DESIGN.md / EXPERIMENTS.md.
 
    The paper (Guttag, CACM 1977) has no quantitative tables; its measurable
-   claims and exhibited artifacts are reproduced here as experiments E1-E18.
+   claims and exhibited artifacts are reproduced here as experiments E1-E18
+   (E13 was folded into E18).
    Sections print the artifact reproductions (the ring-buffer figures, the
    mechanical proof, the prompting transcript, the axiom diff) and time the
    claims that are about cost (symbolic interpretation overhead,
@@ -651,19 +652,14 @@ let e12 () =
           ignore (Analysis.Lint.run Queue_spec.spec));
     ]
 
-(* {1 E13 - hash-consed terms and the compiled rule index} *)
+(* {1 The Symboltable refinement workload (E16, E18)} *)
 
 (* The Symboltable refinement is the largest rule system in the repo
    (symbol tables represented as stacks of arrays, five specifications
-   merged), so rule dispatch dominates: the naive engine scans every rule
-   at every redex candidate, the indexed engine jumps through
-   head-symbol x first-argument-fingerprint buckets over interned terms. *)
+   merged), so rule matching dominates its normalization cost. The
+   queries retrieve four identifiers through [depth] nested blocks. *)
 
-(* pinned to the two-level index: E13 measures hash-consing + the index
-   against the reference scan, whatever the process default engine is
-   (E18 below is the three-engine comparison) *)
-let e13_sys =
-  Rewrite.with_engine Rewrite.Index (Rewrite.of_spec Refinement.combined)
+let refinement_sys = Rewrite.of_spec Refinement.combined
 
 let e13_queries depth =
   let ids = List.map Identifier.id [ "X"; "Y"; "Z"; "W" ] in
@@ -679,54 +675,17 @@ let e13_queries depth =
   let table = build Refinement.init' depth in
   List.map (Refinement.retrieve' table) ids
 
-let e13_workload normalize queries () =
-  List.fold_left (fun acc q -> acc + Term.size (normalize e13_sys q)) 0 queries
-
-(* memoized normalization dispatches on the system's pinned engine, so the
-   system is a parameter: E13 passes the index-pinned system, E18 sweeps
-   all three engines *)
-let memo_workload sys memo queries () =
-  let memo = match memo with Some m -> m | None -> Rewrite.Memo.create () in
+let refinement_workload normalize queries () =
   List.fold_left
-    (fun acc q -> acc + Term.size (Rewrite.normalize_memo ~memo sys q))
+    (fun acc q -> acc + Term.size (normalize refinement_sys q))
     0 queries
 
-let e13_memo_workload memo queries = memo_workload e13_sys memo queries
-
-let e13 () =
-  Fmt.pr "@.=== E13: hash-consed terms + compiled rule index ===@.";
-  Fmt.pr
-    "(same innermost strategy, same rule priority; reference = linear rule \
-     scan with@.";
-  Fmt.pr
-    " structural equality, indexed = fingerprint dispatch over interned \
-     terms)@.";
-  let q3 = e13_queries 3 and q6 = e13_queries 6 in
-  let warm = Rewrite.Memo.create () in
-  ignore (e13_memo_workload (Some warm) q6 ());
-  report_group "Symboltable refinement: retrieve through d nested blocks"
-    [
-      t "e13/reference/depth=3" (e13_workload Rewrite.Reference.normalize q3);
-      t "e13/indexed__/depth=3" (e13_workload Rewrite.normalize q3);
-      t "e13/reference/depth=6" (e13_workload Rewrite.Reference.normalize q6);
-      t "e13/indexed__/depth=6" (e13_workload Rewrite.normalize q6);
-      t "e13/memo-cold/depth=6" (e13_memo_workload None q6);
-      t "e13/memo-warm/depth=6" (e13_memo_workload (Some warm) q6);
-    ];
-  let find name = List.assoc_opt name !json_rows in
-  List.iter
-    (fun d ->
-      match
-        ( find (Fmt.str "e13/reference/depth=%d" d),
-          find (Fmt.str "e13/indexed__/depth=%d" d) )
-      with
-      | Some r, Some i when i > 0. ->
-        Fmt.pr "  indexed speedup over reference (depth=%d): %.2fx@." d (r /. i)
-      | _ -> ())
-    [ 3; 6 ];
-  let hits = Rewrite.Memo.hits warm and misses = Rewrite.Memo.misses warm in
-  Fmt.pr "  warm memo after run: hits=%d misses=%d entries=%d (id-keyed)@."
-    hits misses (Rewrite.Memo.size warm)
+let memo_workload memo queries () =
+  let memo = match memo with Some m -> m | None -> Rewrite.Memo.create () in
+  List.fold_left
+    (fun acc q ->
+      acc + Term.size (Rewrite.normalize_memo ~memo refinement_sys q))
+    0 queries
 
 (* {1 E15 - engine: saturation across the domain pool} *)
 
@@ -888,10 +847,10 @@ let e14 () =
 
 (* Two halves of the same claim — results keyed by content digest
    survive both a process restart and an edit. The restart half replays
-   the E13 retrieve workload (the heaviest rewriting in the repo) into a
-   store-backed session, then "restarts": a second session over the same
-   directory must answer every query from disk, byte-identically modulo
-   the steps= field (a persistent hit reports steps=0 by convention).
+   the Symboltable retrieve workload (the heaviest rewriting in the repo)
+   into a store-backed session, then "restarts": a second session over
+   the same directory must answer every query from disk, byte-identically
+   modulo the steps= field (a persistent hit reports steps=0 by convention).
    The edit half opens a Queue document, re-labels it (nothing may be
    re-checked), then changes one FRONT axiom (exactly the FRONT cone may
    be re-checked). *)
@@ -972,8 +931,8 @@ end|}
 let e16 () =
   Fmt.pr "@.=== E16: on-disk store warm restart + O(edit) sessions ===@.";
   Fmt.pr
-    "(cold = compute the E13 retrieve workload and record it; warm = a fresh \
-     session@.";
+    "(cold = compute the Symboltable retrieve workload and record it; warm \
+     = a fresh session@.";
   Fmt.pr
     " over the same cache directory, every normal form answered from disk; \
      then a@.";
@@ -1155,77 +1114,62 @@ let e17 () =
       (Fmt.str "e17: %d corpus specification(s) failed verification"
          (List.length specs - List.length verified))
 
-(* {1 E18 - rule matching engines: reference vs index vs automaton} *)
+(* {1 E18 - rule matching: reference scan vs matching automaton} *)
 
-(* Same Symboltable refinement workload as E13, quantified over all three
-   matching engines through their pinned entry points — the matrix the CI
-   artifact tracks. The direct rows isolate redex matching; the memo rows
-   show how much of the matching cost the normal-form cache can hide
-   (cold: matching still dominates; warm: the engines converge, because a
-   cache hit never reaches the matcher). *)
+(* The Symboltable refinement workload through the naive reference engine
+   (a linear scan over every rule with structural equality) and through
+   the matching automaton that serves every request. The direct rows
+   isolate redex matching; the memo rows show how much of the remaining
+   cost the normal-form cache hides (cold: matching still dominates;
+   warm: a cache hit never reaches the matcher). *)
 
 let e18 () =
-  Fmt.pr "@.=== E18: rule matching engines (reference vs index vs automaton) ===@.";
+  Fmt.pr "@.=== E18: rule matching (reference scan vs matching automaton) ===@.";
   Fmt.pr
     "(identical semantics — test/test_diff.ml is the proof; reference = \
-     linear scan,@.";
+     linear scan@.";
   Fmt.pr
-    " index = two-level fingerprint dispatch, automaton = compiled matching \
-     automaton)@.";
-  let q6 = e13_queries 6 in
-  (* the engine comparison must not inherit heap fragmentation from the
-     seventeen experiments before it *)
+    " with structural equality, automaton = compiled matching automaton \
+     over interned terms)@.";
+  let q3 = e13_queries 3 and q6 = e13_queries 6 in
+  (* the comparison must not inherit heap fragmentation from the
+     experiments before it *)
   Gc.compact ();
-  let engines =
-    [
-      ("reference", Rewrite.with_engine Rewrite.Reference e13_sys);
-      ("index____", Rewrite.with_engine Rewrite.Index e13_sys);
-      ("automaton", Rewrite.with_engine Rewrite.Automaton e13_sys);
-    ]
-  in
   let direct =
     [
-      t "e18/reference/depth=6" (e13_workload Rewrite.Reference.normalize q6);
-      t "e18/index____/depth=6" (e13_workload Rewrite.Index.normalize q6);
-      t "e18/automaton/depth=6" (e13_workload Rewrite.Automaton.normalize q6);
+      t "e18/reference/depth=3"
+        (refinement_workload Rewrite.Reference.normalize q3);
+      t "e18/automaton/depth=3" (refinement_workload Rewrite.normalize q3);
+      t "e18/reference/depth=6"
+        (refinement_workload Rewrite.Reference.normalize q6);
+      t "e18/automaton/depth=6" (refinement_workload Rewrite.normalize q6);
     ]
   in
-  (* cold rows are measured before any warm memo exists, and with GC
-     stabilization, so no engine's run pays for another's live heap *)
-  let cold_rows =
-    List.map
-      (fun (name, sys) ->
-        t (Fmt.str "e18/%s/memo-cold" name) (memo_workload sys None q6))
-      engines
-  in
-  let warm_rows =
-    List.map
-      (fun (name, sys) ->
-        let warm = Rewrite.Memo.create () in
-        ignore (memo_workload sys (Some warm) q6 ());
-        t (Fmt.str "e18/%s/memo-warm" name) (memo_workload sys (Some warm) q6))
-      engines
-  in
+  (* the cold row is measured before the warm memo exists, and with GC
+     stabilization, so it does not pay for the warm memo's live heap *)
   report_group ~stabilize:true
-    "Symboltable refinement workload (depth=6), by engine"
-    (direct @ cold_rows);
+    "Symboltable refinement: retrieve through d nested blocks"
+    (direct @ [ t "e18/automaton/memo-cold" (memo_workload None q6) ]);
+  let warm = Rewrite.Memo.create () in
+  ignore (memo_workload (Some warm) q6 ());
   report_group ~stabilize:true
     "Symboltable refinement workload (depth=6), warm memo"
-    warm_rows;
+    [ t "e18/automaton/memo-warm" (memo_workload (Some warm) q6) ];
   let find name = List.assoc_opt name !json_rows in
-  (match
-     ( find "e18/reference/depth=6",
-       find "e18/index____/depth=6",
-       find "e18/automaton/depth=6" )
-   with
-  | Some r, Some i, Some a when a > 0. ->
-    Fmt.pr "  automaton speedup over index     (depth=6): %.2fx@." (i /. a);
-    Fmt.pr "  automaton speedup over reference (depth=6): %.2fx@." (r /. a)
-  | _ -> ());
-  match (find "e18/index____/memo-cold", find "e18/automaton/memo-cold") with
-  | Some i, Some a when a > 0. ->
-    Fmt.pr "  automaton speedup over index (cold memo):   %.2fx@." (i /. a)
-  | _ -> ()
+  List.iter
+    (fun d ->
+      match
+        ( find (Fmt.str "e18/reference/depth=%d" d),
+          find (Fmt.str "e18/automaton/depth=%d" d) )
+      with
+      | Some r, Some a when a > 0. ->
+        Fmt.pr "  automaton speedup over reference (depth=%d): %.2fx@." d
+          (r /. a)
+      | _ -> ())
+    [ 3; 6 ];
+  Fmt.pr "  warm memo after run: hits=%d misses=%d entries=%d (id-keyed)@."
+    (Rewrite.Memo.hits warm) (Rewrite.Memo.misses warm)
+    (Rewrite.Memo.size warm)
 
 let write_e18 path =
   let rows =
@@ -1247,7 +1191,7 @@ let write_e18 path =
             (if i = List.length rows - 1 then "" else ","))
         rows;
       output_string oc "]\n");
-  Fmt.pr "wrote %d engine results to %s@." (List.length rows) path
+  Fmt.pr "wrote %d E18 results to %s@." (List.length rows) path
 
 let () =
   Fmt.pr "Reproduction benches for Guttag, 'Abstract Data Types and the Development of Data Structures' (CACM 1977)@.";
@@ -1278,25 +1222,17 @@ let () =
       e18_path := Some path;
       parse_args rest
     | "--e18" :: [] -> failwith "--e18 requires a file argument"
-    | "--engine" :: name :: rest ->
-      (match Rewrite.engine_of_string name with
-      | Some e -> Rewrite.set_default_engine e
-      | None ->
-        failwith
-          (Fmt.str "--engine %s: expected reference, index, or auto" name));
-      parse_args rest
-    | "--engine" :: [] -> failwith "--engine requires an engine name"
     | arg :: _ -> failwith (Fmt.str "unknown argument %s" arg)
   in
   parse_args (List.tl (Array.to_list Sys.argv));
   (* --only runs one experiment in an otherwise pristine process: the
-     engine matrix (E18) in particular is sensitive to the live heaps the
-     seventeen other experiments' module-level workloads leave behind *)
+     rule-matching comparison (E18) in particular is sensitive to the live
+     heaps the other experiments' module-level workloads leave behind *)
   let experiments =
     [
       ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6);
       ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10); ("e11", e11);
-      ("e12", e12); ("e13", e13); ("e14", e14); ("e15", e15); ("e16", e16);
+      ("e12", e12); ("e14", e14); ("e15", e15); ("e16", e16);
       ("e17", e17); ("e18", e18);
     ]
   in

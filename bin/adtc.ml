@@ -528,31 +528,8 @@ let memo_flag =
     & info [ "memo" ]
         ~doc:"Normalize through a bounded LRU normal-form cache.")
 
-let engine_arg =
-  let engines =
-    Arg.enum
-      [
-        ("auto", Adt.Rewrite.Automaton);
-        ("index", Adt.Rewrite.Index);
-        ("reference", Adt.Rewrite.Reference);
-      ]
-  in
-  Arg.(
-    value
-    & opt (some engines) None
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:
-          "Matching engine: $(b,auto) (the compiled matching automaton, \
-           the default), $(b,index) (the two-level rule index), or \
-           $(b,reference) (the naive linear-scan oracle). All three \
-           produce identical answers; also settable through the \
-           $(b,ADTC_ENGINE) environment variable (the flag wins).")
-
-let set_engine engine = Option.iter Adt.Rewrite.set_default_engine engine
-
 let normalize_cmd =
-  let run libs file term_src trace stats memo fuel engine =
-    set_engine engine;
+  let run libs file term_src trace stats memo fuel =
     let spec = last_spec ~lib:(load_library libs) file in
     match Adt.Parser.parse_term spec term_src with
     | Error e ->
@@ -561,9 +538,6 @@ let normalize_cmd =
     | Ok term -> (
       let interp = Adt.Interp.create ?fuel ~memo spec in
       let print_stats steps =
-        Fmt.pr "engine: %s@."
-          (Adt.Rewrite.engine_name
-             (Adt.Rewrite.engine_of (Adt.Interp.system interp)));
         Fmt.pr "steps: %d@." steps;
         Fmt.pr "fuel:  %d/%d used@." steps (Adt.Interp.fuel interp);
         match Adt.Interp.memo_stats interp with
@@ -575,10 +549,13 @@ let normalize_cmd =
       in
       try
         if trace then begin
-          let nf, events = Adt.Interp.trace interp term in
+          let steps = ref 0 in
+          let nf, events =
+            Adt.Interp.trace ~on_rule:(fun _ -> incr steps) interp term
+          in
           List.iter (fun e -> Fmt.pr "%a@." Adt.Rewrite.pp_event e) events;
           Fmt.pr "normal form: %a@." Adt.Term.pp nf;
-          if stats then print_stats (List.length events)
+          if stats then print_stats !steps
         end
         else if Adt.Term.is_ground term then begin
           let value, steps = Adt.Interp.eval_count interp term in
@@ -596,7 +573,7 @@ let normalize_cmd =
     (Cmd.info "normalize" ~doc)
     Term.(
       const run $ lib_arg $ file_arg $ term_arg $ trace_flag $ stats_flag
-      $ memo_flag $ fuel_opt $ engine_arg)
+      $ memo_flag $ fuel_opt)
 
 let complete_cmd =
   let run libs file =
@@ -1051,8 +1028,7 @@ let serve_cmd =
              meaningful with $(b,--socket)).")
   in
   let run libs files fuel timeout cache_capacity slowlog_ms slowlog_capacity
-      cache_dir cache_max_bytes socket max_clients domains engine =
-    set_engine engine;
+      cache_dir cache_max_bytes socket max_clients domains =
     let session =
       make_session ?slowlog_ms ?slowlog_capacity ?cache_dir ?cache_max_bytes
         libs files ~fuel ~timeout ~cache_capacity
@@ -1087,7 +1063,7 @@ let serve_cmd =
       const run $ lib_arg $ spec_files_arg $ engine_fuel_arg $ timeout_arg
       $ cache_capacity_arg $ slowlog_ms_arg $ slowlog_capacity_arg
       $ cache_dir_arg $ cache_max_bytes_arg $ socket_arg $ max_clients_arg
-      $ domains_arg $ engine_arg)
+      $ domains_arg)
 
 let batch_cmd =
   let requests_arg =
@@ -1097,8 +1073,7 @@ let batch_cmd =
           ~doc:"Request script to replay; $(b,-) (the default) is stdin.")
   in
   let run libs files fuel timeout cache_capacity slowlog_ms slowlog_capacity
-      cache_dir cache_max_bytes requests engine =
-    set_engine engine;
+      cache_dir cache_max_bytes requests =
     let session =
       make_session ?slowlog_ms ?slowlog_capacity ?cache_dir ?cache_max_bytes
         libs files ~fuel ~timeout ~cache_capacity
@@ -1118,7 +1093,7 @@ let batch_cmd =
     Term.(
       const run $ lib_arg $ spec_files_arg $ engine_fuel_arg $ timeout_arg
       $ cache_capacity_arg $ slowlog_ms_arg $ slowlog_capacity_arg
-      $ cache_dir_arg $ cache_max_bytes_arg $ requests_arg $ engine_arg)
+      $ cache_dir_arg $ cache_max_bytes_arg $ requests_arg)
 
 let replay_requests session path =
   let ic = open_in path in

@@ -113,8 +113,8 @@ let steps t term =
   let _, n = Rewrite.normalize_count ~fuel:t.fuel t.system term in
   n
 
-let trace ?max_events t term =
-  Rewrite.trace ~fuel:t.fuel ?max_events t.system term
+let trace ?max_events ?on_rule t term =
+  Rewrite.trace ~fuel:t.fuel ?max_events ?on_rule t.system term
 
 let pp_value ppf = function
   | Value v -> Term.pp ppf v

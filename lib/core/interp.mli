@@ -102,6 +102,12 @@ val reduce :
 val steps : t -> Term.t -> int
 (** Number of rule applications needed to normalize the term. *)
 
-val trace : ?max_events:int -> t -> Term.t -> Term.t * Rewrite.event list
+val trace :
+  ?max_events:int ->
+  ?on_rule:(string -> unit) ->
+  t ->
+  Term.t ->
+  Term.t * Rewrite.event list
+(** {!Rewrite.trace} under this interpreter's fuel. *)
 
 val pp_value : value Fmt.t

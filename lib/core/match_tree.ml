@@ -109,8 +109,8 @@ module Int_set = Set.Make (Int)
    interns, with the substitution replaced by register fetches. An
    unbound rhs variable is kept in place — the same convention as
    [Subst.apply], so even a rule smuggled past the executability filter
-   rewrites identically under every engine. [frozen] is the set of
-   registers reached through an if-then-else {e branch} position: those
+   rewrites identically under the reference engine. [frozen] is the set
+   of registers reached through an if-then-else {e branch} position: those
    may hold unnormalized subterms (an innermost-normalized subject
    freezes the branches of stuck conditionals), every other register
    holds a subterm that is already in normal form when the subject's

@@ -6,8 +6,8 @@
     term then walks the tree: every interior node inspects one subterm
     (held in a register) exactly once and switches on its head
     constructor, so common pattern prefixes across rules are tested a
-    single time, instead of once per candidate rule as the linear scan
-    and the two-level index both do.
+    single time, instead of once per candidate rule as a linear scan
+    does.
 
     {b Priority.} First-match-wins order is preserved exactly. A rule
     whose pattern has a variable at the inspected position constrains
@@ -37,7 +37,7 @@
     operations along a path agree, the sorts at every position below are
     forced equal by the operations' declared ranks. The differential
     harness ([test/test_diff.ml]) validates this against the
-    sort-checking engines on every corpus specification. *)
+    sort-checking reference engine on every corpus specification. *)
 
 type 'a t
 (** A compiled automaton; ['a] is the per-rule payload returned on a

@@ -33,136 +33,17 @@ let pp_rule ppf r =
       r.rhs
 
 module String_map = Map.Make (String)
+(* {2 The compiled system}
 
-(* {2 Engine selection}
-
-   Three engines share one [system] value and agree on every observable
-   (normal forms, step counts, error strictness, fuel exhaustion —
-   [test/test_diff.ml] is the proof):
-
-   - [Reference]: the naive pre-index engine — linear rule scan, deep
-     structural equality. The slowest; kept as the differential oracle.
-   - [Index]: the two-level index — head symbol, then first-argument
-     constructor fingerprint; candidates re-matched structurally.
-   - [Automaton]: the compiled matching automaton ([Match_tree]) —
-     every subterm inspected once, no substitution maps, rule firing
-     through precomputed right-hand-side templates. The default.
-
-   The process-wide default seeds each compiled system's dispatch
-   engine; it is initialized from the ADTC_ENGINE environment variable
-   ("reference" | "index" | "auto") and settable by the CLI's --engine
-   flag. A system remembers its engine, so interpreters forked from it
-   (and every domain of the server pool) dispatch identically. *)
-
-type engine = Reference | Index | Automaton
-
-let engine_name = function
-  | Reference -> "reference"
-  | Index -> "index"
-  | Automaton -> "auto"
-
-let engine_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "reference" -> Some Reference
-  | "index" | "indexed" -> Some Index
-  | "auto" | "automaton" -> Some Automaton
-  | _ -> None
-
-let default_engine_ref =
-  ref
-    (match Sys.getenv_opt "ADTC_ENGINE" with
-    | None | Some "" -> Automaton
-    | Some s -> (
-      match engine_of_string s with
-      | Some e -> e
-      | None ->
-        Fmt.epr
-          "adtc: ignoring ADTC_ENGINE=%S (expected reference|index|auto)@." s;
-        Automaton))
-
-let default_engine () = !default_engine_ref
-let set_default_engine e = default_engine_ref := e
-
-(* {2 The compiled two-level rule index}
-
-   Rules are grouped by head symbol, then discriminated a second time on
-   the shape of the subject's {e first argument} — the argument the corpus
-   axioms case-split on (FRONT(NEW) vs FRONT(ADD(q,i)), RETRIEVE'(INIT')
-   vs RETRIEVE'(ADD'(...)), ...). A rule whose first-argument pattern is a
-   variable matches any subject, so it is {e generic}: it appears in the
-   generic list and is merged into every fingerprint bucket. A rule whose
-   first-argument pattern opens with constructor [g] can only match a
-   subject whose first argument opens with [g], so it appears in bucket
-   [g] alone. Each bucket is a filter of the priority-ordered per-head
-   list, so relative axiom priority inside a bucket is exactly the
-   declaration order — the same order the linear scan tries.
-
-   Soundness of skipping: a pattern headed by [App g] cannot match a
-   subject whose first argument is a variable, an [error], an
-   if-then-else, or an application of a different head; likewise for
-   [Err]/[Ite]-headed patterns. The bucket for a fingerprint therefore
-   contains a superset of the rules that can match any subject with that
-   fingerprint, and the matcher itself still verifies each candidate. *)
-
-type compiled = {
-  head_rules : rule list; (* every rule with this head, priority order *)
-  generic : rule list; (* rules whose first-argument pattern is a variable *)
-  by_fp : rule list String_map.t;
-      (* first-argument fingerprint -> specific + generic rules, merged in
-         priority order *)
-}
-
-(* fingerprint keys: operation names prefixed to stay disjoint from the
-   builtin error / if-then-else shapes *)
-let fp_op name = "o:" ^ name
-let fp_err = "e"
-let fp_ite = "i"
-
-let first_pat r =
-  match Term.view r.lhs with
-  | Term.App (_, p :: _) -> Some p
-  | _ -> None
-
-(* [None] = generic: matches any first argument *)
-let fp_of_rule r =
-  match first_pat r with
-  | None -> None
-  | Some p -> (
-    match Term.view p with
-    | Term.Var _ -> None
-    | Term.App (g, _) -> Some (fp_op (Op.name g))
-    | Term.Err _ -> Some fp_err
-    | Term.Ite _ -> Some fp_ite)
-
-let compile_bucket head_rules =
-  let generic = List.filter (fun r -> fp_of_rule r = None) head_rules in
-  let fps =
-    List.sort_uniq String.compare (List.filter_map fp_of_rule head_rules)
-  in
-  let by_fp =
-    List.fold_left
-      (fun m fp ->
-        let merged =
-          List.filter
-            (fun r ->
-              match fp_of_rule r with
-              | None -> true (* generic: can match any fingerprint *)
-              | Some f -> String.equal f fp)
-            head_rules
-        in
-        String_map.add fp merged m)
-      String_map.empty fps
-  in
-  { head_rules; generic; by_fp }
+   A system is the priority-ordered rule list plus its matching automaton
+   ([Match_tree]): one decision tree per head symbol, every subterm
+   inspected once, rule firing through precomputed right-hand-side
+   templates. The trees are built once in [of_rules] and never mutated
+   after, so sharing a system across interpreters and domains is safe. *)
 
 type system = {
   all : rule list; (* priority order: earlier rules tried first *)
-  by_head : compiled String_map.t;
   trees : (string, rule Match_tree.t) Hashtbl.t;
-      (* the matching automaton, one per head symbol; built once in
-         [of_rules] and never mutated after, so sharing it across
-         [with_engine] copies and across domains is safe *)
-  engine : engine; (* which engine this system's entry points dispatch to *)
 }
 
 let head_name r =
@@ -180,8 +61,6 @@ let group_by_head rules =
       String_map.add key (existing @ [ r ]) m)
     String_map.empty rules
 
-let index rules = String_map.map compile_bucket (group_by_head rules)
-
 (* one automaton per head-symbol group; the automaton's own root switch
    re-verifies the exact operation ([Op.equal]), so two operations that
    share a name but not a rank never cross-match *)
@@ -196,28 +75,20 @@ let compile_trees rules =
     groups;
   tbl
 
-let of_rules ?engine all =
-  let engine =
-    match engine with Some e -> e | None -> default_engine ()
-  in
-  { all; by_head = index all; trees = compile_trees all; engine }
+let of_rules all = { all; trees = compile_trees all }
 
-let of_spec ?engine spec =
+let of_spec spec =
   (* an axiom with free right-hand-side variables (parsed leniently so the
      analyzer can flag it as ADT011) is not a rule: firing it would invent
      unbound variables and break groundness, so it is skipped here *)
-  of_rules ?engine
+  of_rules
     (List.map rule_of_axiom
        (List.filter Axiom.is_executable (Spec.axioms spec)))
 
-(* added rules inherit the host system's engine, not the global default:
-   completion grows systems incrementally and must stay self-consistent *)
-let add_rules extra sys = of_rules ~engine:sys.engine (extra @ sys.all)
+let add_rules extra sys = of_rules (extra @ sys.all)
 let add_axioms axs sys = add_rules (List.map rule_of_axiom axs) sys
 let rules sys = sys.all
 let size sys = List.length sys.all
-let engine_of sys = sys.engine
-let with_engine engine sys = { sys with engine }
 
 type strategy = Innermost | Outermost
 
@@ -225,17 +96,210 @@ exception Out_of_fuel of Term.t
 
 let default_fuel = 200_000
 
-(* {2 The matchers}
+(* builtin steps: error propagation and if-then-else selection. They are
+   never charged fuel and never counted as rule applications. *)
+let is_builtin name = String.equal name "<if>" || String.equal name "<error>"
 
-   Every engine reduces to one shape: a redex finder
-   [Term.t -> (rule * Term.t) option] answering the first matching rule
-   (priority order) and the instantiated right-hand side. The generic
-   strategy loops below are engine-blind — they only consume finders. *)
+(* {2 The matcher}
 
-(* the naive structural matcher, shared by the [Reference] engine and the
-   reference finder: binds and compares with deep structural equality and
-   never consults ids, precomputed hashes, or the intern table *)
-module Linear = struct
+   [find_automaton] answers the first matching rule (priority order) and
+   the instantiated right-hand side; [template_of] answers the rule, its
+   registers, and the right-hand-side template uninstantiated, for the
+   fused innermost loop below. *)
+
+let find_automaton sys t =
+  match Term.view t with
+  | Term.App (op, _) -> (
+    match Hashtbl.find_opt sys.trees (Op.name op) with
+    | None -> None
+    | Some tree -> Match_tree.run tree t)
+  | _ -> None
+
+let template_of sys t =
+  match Term.view t with
+  | Term.App (op, _) -> (
+    match Hashtbl.find_opt sys.trees (Op.name op) with
+    | None -> None
+    | Some tree -> Match_tree.run_template tree t)
+  | _ -> None
+
+(* One leftmost-outermost step, or None. *)
+let rec outer_step sys t =
+  match Term.view t with
+  | Term.Var _ | Term.Err _ -> None
+  | Term.Ite (c, th, el) -> (
+    if Term.equal c Term.tt then Some (th, "<if>")
+    else if Term.equal c Term.ff then Some (el, "<if>")
+    else
+      match Term.view c with
+      | Term.Err _ -> Some (Term.err (Term.sort_of th), "<error>")
+      | _ -> (
+        (* branches of a stuck conditional are frozen, as in innermost
+           normalization: otherwise recursive definitions would unfold
+           without bound under an undecided condition *)
+        match outer_step sys c with
+        | Some (c', n) -> Some (Term.ite_unchecked c' th el, n)
+        | None -> None))
+  | Term.App (op, args) -> (
+    if List.exists Term.is_error args then
+      Some (Term.err (Op.result op), "<error>")
+    else
+      match find_automaton sys t with
+      | Some (r, reduct) -> Some (reduct, r.rule_name)
+      | None ->
+        let rec step_child i = function
+          | [] -> None
+          | a :: rest -> (
+            match outer_step sys a with
+            | Some (a', n) ->
+              let args' =
+                List.mapi (fun j x -> if j = i then a' else x) args
+              in
+              Some (Term.app_unchecked op args', n)
+            | None -> step_child (i + 1) rest)
+        in
+        step_child 0 args)
+
+let outermost ~on_apply sys term =
+  let rec go t =
+    match outer_step sys t with
+    | None -> t
+    | Some (t', name) ->
+      if not (is_builtin name) then
+        on_apply { rule_name = name; lhs = t; rhs = t' };
+      go t'
+  in
+  go term
+
+exception Fuel_exhausted
+
+let no_poll () = ()
+
+(* [on_rule] is the observability sibling of [poll]: called with the
+   rule's name at every application, it feeds per-rule firing attribution
+   (the tracer of lib/obs) through the same site that charges fuel and
+   checks the deadline. [None] by default, so uninstrumented callers pay
+   only one option test per application. *)
+let fire on_rule r =
+  match on_rule with None -> () | Some f -> f r.rule_name
+
+(* [metered ... go] runs [go counted]: [counted] charges one unit of fuel
+   per rule application, polls the deadline, attributes the rule, then
+   calls [on_apply]. Fuel exhaustion uses a dedicated exception, because a
+   caller-supplied [on_apply] may raise its own exceptions (Exit included)
+   to abort, and those must not be misreported as running out of fuel. *)
+let metered ?(fuel = default_fuel) ?(poll = no_poll) ?on_rule ~on_apply term go
+    =
+  let remaining = ref fuel in
+  let counted r =
+    if !remaining <= 0 then raise Fuel_exhausted;
+    decr remaining;
+    poll ();
+    fire on_rule r;
+    on_apply r
+  in
+  try go counted with Fuel_exhausted -> raise (Out_of_fuel term)
+
+(* {2 The fused innermost loop}
+
+   Innermost normalization interleaved with template instantiation.
+   Firing a rule by instantiating its full right-hand side and
+   re-normalizing the result would re-walk every fetched subterm, even
+   though, under innermost rewriting, a subterm bound at a non-frozen
+   pattern position is already in normal form (the arguments were
+   normalized before matching, and innermost normal forms are
+   norm-fixpoints). Here the leaf's {!Match_tree.builder} template is
+   normalized directly instead: [Fetch]ed registers are returned without
+   a walk, [Fetch_frozen] registers (bound through the branch of an
+   if-then-else pattern, where stuck conditionals keep frozen redexes)
+   are re-normalized, and constructed nodes are normalized bottom-up as
+   the template unfolds. Rule firing order and count are exactly those of
+   re-normalizing the instantiated reduct: leftmost-innermost visits the
+   same redexes in the same order, and skipped fetches contribute zero
+   firings either way. The differential harness ([test/test_diff.ml])
+   pins this equivalence — normal form {e and} step count — against
+   {!Reference} on every corpus specification. *)
+
+let automaton_innermost ~on_apply sys term =
+  let rec norm t =
+    match Term.view t with
+    | Term.Var _ | Term.Err _ -> t
+    | Term.Ite (c, th, el) -> (
+      let c' = norm c in
+      if Term.equal c' Term.tt then norm th
+      else if Term.equal c' Term.ff then norm el
+      else
+        match Term.view c' with
+        | Term.Err _ -> Term.err (Term.sort_of th)
+        | _ ->
+          (* stuck conditional: branches stay frozen, otherwise recursive
+             definitions would unfold without bound under an undecided
+             condition (ground conditions always decide, so evaluation is
+             unaffected) *)
+          Term.ite_unchecked c' th el)
+    | Term.App (op, args) ->
+      let args' = List.map norm args in
+      if List.exists Term.is_error args' then Term.err (Op.result op)
+      else if List.for_all2 ( == ) args args' then reduce t
+      else reduce_app op args'
+  (* [t'] has normalized arguments: match at the root and, on success,
+     normalize the template rather than the instantiated reduct *)
+  and reduce t' =
+    match template_of sys t' with
+    | None -> t'
+    | Some (r, regs, builder) ->
+      on_apply r;
+      build regs builder
+  (* the same, for an application not interned yet: a fired redex node is
+     discarded immediately, so it is only interned when no rule matches
+     and the node is the (normal-form) result *)
+  and reduce_app op args' =
+    match Hashtbl.find_opt sys.trees (Op.name op) with
+    | None -> Term.app_unchecked op args'
+    | Some tree -> (
+      match Match_tree.run_template_app tree op args' with
+      | None -> Term.app_unchecked op args'
+      | Some (r, regs, builder) ->
+        on_apply r;
+        build regs builder)
+  (* [build regs b = norm (Match_tree.instantiate regs b)], with the
+     walk over already-normal fetched subterms elided *)
+  and build regs = function
+    | Match_tree.Ready t -> norm t (* ground, but may hold redexes *)
+    | Match_tree.Fetch r -> regs.(r)
+    | Match_tree.Fetch_frozen r -> norm regs.(r)
+    | Match_tree.Build_app (op, bs) ->
+      let args' = List.map (build regs) bs in
+      if List.exists Term.is_error args' then Term.err (Op.result op)
+      else reduce_app op args'
+    | Match_tree.Build_ite (c, a, b) -> (
+      let c' = build regs c in
+      if Term.equal c' Term.tt then build regs a
+      else if Term.equal c' Term.ff then build regs b
+      else
+        match Term.view c' with
+        | Term.Err _ -> Term.err (Term.sort_of (Match_tree.instantiate regs a))
+        | _ ->
+          (* stuck: freeze the branches instantiated but unnormalized,
+             exactly as re-normalizing the instantiated reduct leaves
+             them *)
+          Term.ite_unchecked c'
+            (Match_tree.instantiate regs a)
+            (Match_tree.instantiate regs b))
+  in
+  norm term
+
+(* {1 The reference engine}
+
+   A deliberately naive rewriting engine: rules are scanned linearly in
+   priority order, matching binds and compares with deep structural
+   equality, and nothing consults ids, precomputed hashes, or the intern
+   table. It is the oracle the differential harness ([test/test_diff.ml])
+   normalizes every random term against — byte-for-byte the same
+   strategy, error strictness, if-then-else laziness, and fuel
+   accounting, only slower. *)
+
+module Reference = struct
   let rec match_term pattern subject bindings =
     match (Term.view pattern, Term.view subject) with
     | Term.Var (x, sort), _ ->
@@ -283,291 +347,6 @@ module Linear = struct
       in
       first sys.all
     | _ -> None
-end
-
-(* second-level dispatch: pick the bucket for the subject's first
-   argument; a fingerprint no rule specializes on falls back to the
-   generic rules (the only ones that could match) *)
-let candidate_rules sys op args =
-  match String_map.find_opt (Op.name op) sys.by_head with
-  | None -> []
-  | Some c -> (
-    match args with
-    | [] -> c.head_rules
-    | a1 :: _ -> (
-      let fp_bucket fp =
-        match String_map.find_opt fp c.by_fp with
-        | Some rs -> rs
-        | None -> c.generic
-      in
-      match Term.view a1 with
-      | Term.Var _ -> c.generic
-      | Term.App (g, _) -> fp_bucket (fp_op (Op.name g))
-      | Term.Err _ -> fp_bucket fp_err
-      | Term.Ite _ -> fp_bucket fp_ite))
-
-let find_index sys t =
-  match Term.view t with
-  | Term.App (op, args) ->
-    let rec first = function
-      | [] -> None
-      | r :: rest -> (
-        match Subst.match_term ~pattern:r.lhs t with
-        | Some s -> Some (r, Subst.apply s r.rhs)
-        | None -> first rest)
-    in
-    first (candidate_rules sys op args)
-  | _ -> None
-
-let find_automaton sys t =
-  match Term.view t with
-  | Term.App (op, _) -> (
-    match Hashtbl.find_opt sys.trees (Op.name op) with
-    | None -> None
-    | Some tree -> Match_tree.run tree t)
-  | _ -> None
-
-let find_reference sys t =
-  match Linear.find_redex sys t with
-  | Some (r, s) -> Some (r, Linear.apply s r.rhs)
-  | None -> None
-
-let finder sys =
-  match sys.engine with
-  | Reference -> find_reference sys
-  | Index -> find_index sys
-  | Automaton -> find_automaton sys
-
-(* Leftmost-innermost normalization.  [on_apply] is called once per rule
-   application and may raise to abort. *)
-let innermost ~find ~on_apply term =
-  let rec norm t =
-    match Term.view t with
-    | Term.Var _ | Term.Err _ -> t
-    | Term.Ite (c, th, el) -> (
-      let c' = norm c in
-      if Term.equal c' Term.tt then norm th
-      else if Term.equal c' Term.ff then norm el
-      else
-        match Term.view c' with
-        | Term.Err _ -> Term.err (Term.sort_of th)
-        | _ ->
-          (* stuck conditional: branches stay frozen, otherwise recursive
-             definitions would unfold without bound under an undecided
-             condition (ground conditions always decide, so evaluation is
-             unaffected) *)
-          Term.ite_unchecked c' th el)
-    | Term.App (op, args) -> (
-      let args' = List.map norm args in
-      if List.exists Term.is_error args' then Term.err (Op.result op)
-      else
-        let t' =
-          if List.for_all2 ( == ) args args' then t
-          else Term.app_unchecked op args'
-        in
-        match find t' with
-        | None -> t'
-        | Some (r, reduct) ->
-          on_apply r;
-          norm reduct)
-  in
-  norm term
-
-(* One leftmost-outermost step, or None. *)
-let rec outer_step ~find t =
-  match Term.view t with
-  | Term.Var _ | Term.Err _ -> None
-  | Term.Ite (c, th, el) -> (
-    if Term.equal c Term.tt then Some (th, "<if>")
-    else if Term.equal c Term.ff then Some (el, "<if>")
-    else
-      match Term.view c with
-      | Term.Err _ -> Some (Term.err (Term.sort_of th), "<error>")
-      | _ -> (
-        (* branches of a stuck conditional are frozen, as in [innermost] *)
-        match outer_step ~find c with
-        | Some (c', n) -> Some (Term.ite_unchecked c' th el, n)
-        | None -> None))
-  | Term.App (op, args) -> (
-    if List.exists Term.is_error args then
-      Some (Term.err (Op.result op), "<error>")
-    else
-      match find t with
-      | Some (r, reduct) -> Some (reduct, r.rule_name)
-      | None ->
-        let rec step_child i = function
-          | [] -> None
-          | a :: rest -> (
-            match outer_step ~find a with
-            | Some (a', n) ->
-              let args' =
-                List.mapi (fun j x -> if j = i then a' else x) args
-              in
-              Some (Term.app_unchecked op args', n)
-            | None -> step_child (i + 1) rest)
-        in
-        step_child 0 args)
-
-let outermost ~find ~on_apply term =
-  let rec go t =
-    match outer_step ~find t with
-    | None -> t
-    | Some (t', name) ->
-      if not (String.equal name "<if>" || String.equal name "<error>") then
-        on_apply { rule_name = name; lhs = t; rhs = t' };
-      go t'
-  in
-  go term
-
-exception Fuel_exhausted
-
-let no_poll () = ()
-
-(* [on_rule] is the observability sibling of [poll]: called with the
-   rule's name at every application, it feeds per-rule firing attribution
-   (the tracer of lib/obs) through the same site that charges fuel and
-   checks the deadline. [None] by default, so uninstrumented callers pay
-   only one option test per application. *)
-let fire on_rule r =
-  match on_rule with None -> () | Some f -> f r.rule_name
-
-let run_with_find ~find ?(strategy = Innermost) ?(fuel = default_fuel)
-    ?(poll = no_poll) ?on_rule ~on_apply term =
-  let remaining = ref fuel in
-  let counted r =
-    (* a dedicated exception: a caller-supplied [on_apply] may raise its
-       own exceptions (Exit included) to abort, and those must not be
-       misreported as fuel exhaustion *)
-    if !remaining <= 0 then raise Fuel_exhausted;
-    decr remaining;
-    poll ();
-    fire on_rule r;
-    on_apply r
-  in
-  try
-    match strategy with
-    | Innermost -> innermost ~find ~on_apply:counted term
-    | Outermost -> outermost ~find ~on_apply:counted term
-  with Fuel_exhausted -> raise (Out_of_fuel term)
-
-(* {2 The fused automaton loop}
-
-   Innermost normalization interleaved with template instantiation. The
-   generic loop above fires a rule by instantiating its full right-hand
-   side and re-normalizing the result — which re-walks every fetched
-   subterm even though, under innermost rewriting, a subterm bound at a
-   non-frozen pattern position is already in normal form (the arguments
-   were normalized before matching, and innermost normal forms are
-   norm-fixpoints). Here the leaf's {!Match_tree.builder} template is
-   normalized directly instead: [Fetch]ed registers are returned without
-   a walk, [Fetch_frozen] registers (bound through the branch of an
-   if-then-else pattern, where stuck conditionals keep frozen redexes)
-   are re-normalized, and constructed nodes are normalized
-   bottom-up as the template unfolds. Rule firing order and count are
-   exactly the generic loop's: normalizing the instantiated reduct
-   leftmost-innermost visits the same redexes in the same order, and
-   skipped fetches contribute zero firings either way. The differential
-   harness ([test/test_diff.ml]) pins this equivalence — normal form
-   {e and} step count — against both oracle engines on every corpus
-   specification. *)
-
-let template_of sys t =
-  match Term.view t with
-  | Term.App (op, _) -> (
-    match Hashtbl.find_opt sys.trees (Op.name op) with
-    | None -> None
-    | Some tree -> Match_tree.run_template tree t)
-  | _ -> None
-
-let automaton_innermost ~on_apply sys term =
-  let rec norm t =
-    match Term.view t with
-    | Term.Var _ | Term.Err _ -> t
-    | Term.Ite (c, th, el) -> (
-      let c' = norm c in
-      if Term.equal c' Term.tt then norm th
-      else if Term.equal c' Term.ff then norm el
-      else
-        match Term.view c' with
-        | Term.Err _ -> Term.err (Term.sort_of th)
-        | _ -> Term.ite_unchecked c' th el)
-    | Term.App (op, args) ->
-      let args' = List.map norm args in
-      if List.exists Term.is_error args' then Term.err (Op.result op)
-      else if List.for_all2 ( == ) args args' then reduce t
-      else reduce_app op args'
-  (* [t'] has normalized arguments: match at the root and, on success,
-     normalize the template rather than the instantiated reduct *)
-  and reduce t' =
-    match template_of sys t' with
-    | None -> t'
-    | Some (r, regs, builder) ->
-      on_apply r;
-      build regs builder
-  (* the same, for an application not interned yet: a fired redex node is
-     discarded immediately, so it is only interned when no rule matches
-     and the node is the (normal-form) result *)
-  and reduce_app op args' =
-    match Hashtbl.find_opt sys.trees (Op.name op) with
-    | None -> Term.app_unchecked op args'
-    | Some tree -> (
-      match Match_tree.run_template_app tree op args' with
-      | None -> Term.app_unchecked op args'
-      | Some (r, regs, builder) ->
-        on_apply r;
-        build regs builder)
-  (* [build regs b = norm (Match_tree.instantiate regs b)], with the
-     walk over already-normal fetched subterms elided *)
-  and build regs = function
-    | Match_tree.Ready t -> norm t (* ground, but may hold redexes *)
-    | Match_tree.Fetch r -> regs.(r)
-    | Match_tree.Fetch_frozen r -> norm regs.(r)
-    | Match_tree.Build_app (op, bs) ->
-      let args' = List.map (build regs) bs in
-      if List.exists Term.is_error args' then Term.err (Op.result op)
-      else reduce_app op args'
-    | Match_tree.Build_ite (c, a, b) -> (
-      let c' = build regs c in
-      if Term.equal c' Term.tt then build regs a
-      else if Term.equal c' Term.ff then build regs b
-      else
-        match Term.view c' with
-        | Term.Err _ -> Term.err (Term.sort_of (Match_tree.instantiate regs a))
-        | _ ->
-          (* stuck: freeze the branches instantiated but unnormalized,
-             exactly as the generic loop leaves them *)
-          Term.ite_unchecked c'
-            (Match_tree.instantiate regs a)
-            (Match_tree.instantiate regs b))
-  in
-  norm term
-
-let run_fused ?(fuel = default_fuel) ?(poll = no_poll) ?on_rule ~on_apply sys
-    term =
-  let remaining = ref fuel in
-  let counted r =
-    if !remaining <= 0 then raise Fuel_exhausted;
-    decr remaining;
-    poll ();
-    fire on_rule r;
-    on_apply r
-  in
-  try automaton_innermost ~on_apply:counted sys term
-  with Fuel_exhausted -> raise (Out_of_fuel term)
-
-(* {1 The reference engine}
-
-   A deliberately naive copy of the rewriting algorithm from before the
-   index and hash-consing landed: rules are scanned linearly in priority
-   order, matching binds and compares with deep structural equality, and
-   nothing consults ids, precomputed hashes, or the intern table. It is
-   the oracle the differential harness ([test/test_diff.ml]) normalizes
-   every random term against — byte-for-byte the same strategy, error
-   strictness, if-then-else laziness, and fuel accounting, only slower. *)
-
-module Reference = struct
-  let find_redex = Linear.find_redex
-  let apply = Linear.apply
 
   let innermost ~on_apply sys term =
     let rec norm t =
@@ -632,27 +411,17 @@ module Reference = struct
       match outer_step sys t with
       | None -> t
       | Some (t', name) ->
-        if not (String.equal name "<if>" || String.equal name "<error>") then
+        if not (is_builtin name) then
           on_apply { rule_name = name; lhs = t; rhs = t' };
         go t'
     in
     go term
 
-  let run ?(strategy = Innermost) ?(fuel = default_fuel) ?(poll = no_poll)
-      ?on_rule ~on_apply sys term =
-    let remaining = ref fuel in
-    let counted r =
-      if !remaining <= 0 then raise Fuel_exhausted;
-      decr remaining;
-      poll ();
-      fire on_rule r;
-      on_apply r
-    in
-    try
-      match strategy with
-      | Innermost -> innermost ~on_apply:counted sys term
-      | Outermost -> outermost ~on_apply:counted sys term
-    with Fuel_exhausted -> raise (Out_of_fuel term)
+  let run ?(strategy = Innermost) ?fuel ?poll ?on_rule ~on_apply sys term =
+    metered ?fuel ?poll ?on_rule ~on_apply term (fun on_apply ->
+        match strategy with
+        | Innermost -> innermost ~on_apply sys term
+        | Outermost -> outermost ~on_apply sys term)
 
   let normalize ?strategy ?fuel ?poll ?on_rule sys term =
     run ?strategy ?fuel ?poll ?on_rule ~on_apply:(fun _ -> ()) sys term
@@ -670,22 +439,13 @@ module Reference = struct
     (t, !n)
 end
 
-(* {1 Engine-dispatched entry points}
-
-   [normalize] and friends follow the system's engine. The [Reference]
-   engine keeps its historically separate loop (structural equality
-   everywhere — the whole point of the oracle); [Index] and [Automaton]
-   share the generic loops above, differing only in the redex finder. *)
+(* {1 Entry points} *)
 
 let run ?(strategy = Innermost) ?fuel ?poll ?on_rule ~on_apply sys term =
-  match (sys.engine, strategy) with
-  | Reference, _ ->
-    Reference.run ~strategy ?fuel ?poll ?on_rule ~on_apply sys term
-  | Automaton, Innermost ->
-    run_fused ?fuel ?poll ?on_rule ~on_apply sys term
-  | (Index | Automaton), _ ->
-    run_with_find ~find:(finder sys) ~strategy ?fuel ?poll ?on_rule ~on_apply
-      term
+  metered ?fuel ?poll ?on_rule ~on_apply term (fun on_apply ->
+      match strategy with
+      | Innermost -> automaton_innermost ~on_apply sys term
+      | Outermost -> outermost ~on_apply sys term)
 
 let normalize ?strategy ?fuel ?poll ?on_rule sys term =
   run ?strategy ?fuel ?poll ?on_rule ~on_apply:(fun _ -> ()) sys term
@@ -708,56 +468,6 @@ let joinable ?strategy ?fuel sys a b =
   with
   | Some na, Some nb -> Term.equal na nb
   | _ -> false
-
-(* pinned-engine entry points: the same system value, dispatched to one
-   engine regardless of [engine_of] — what the differential harness and
-   the E18 bench quantify over *)
-
-module Index = struct
-  let normalize ?strategy ?fuel ?poll ?on_rule sys term =
-    run_with_find ~find:(find_index sys) ?strategy ?fuel ?poll ?on_rule
-      ~on_apply:(fun _ -> ()) term
-
-  let normalize_opt ?strategy ?fuel ?poll ?on_rule sys term =
-    match normalize ?strategy ?fuel ?poll ?on_rule sys term with
-    | t -> Some t
-    | exception Out_of_fuel _ -> None
-
-  let normalize_count ?strategy ?fuel ?poll ?on_rule sys term =
-    let n = ref 0 in
-    let t =
-      run_with_find ~find:(find_index sys) ?strategy ?fuel ?poll ?on_rule
-        ~on_apply:(fun _ -> incr n) term
-    in
-    (t, !n)
-end
-
-module Automaton = struct
-  let run_pinned ?(strategy = Innermost) ?fuel ?poll ?on_rule ~on_apply sys
-      term =
-    match strategy with
-    | Innermost -> run_fused ?fuel ?poll ?on_rule ~on_apply sys term
-    | Outermost ->
-      run_with_find ~find:(find_automaton sys) ~strategy:Outermost ?fuel ?poll
-        ?on_rule ~on_apply term
-
-  let normalize ?strategy ?fuel ?poll ?on_rule sys term =
-    run_pinned ?strategy ?fuel ?poll ?on_rule ~on_apply:(fun _ -> ()) sys term
-
-  let normalize_opt ?strategy ?fuel ?poll ?on_rule sys term =
-    match normalize ?strategy ?fuel ?poll ?on_rule sys term with
-    | t -> Some t
-    | exception Out_of_fuel _ -> None
-
-  let normalize_count ?strategy ?fuel ?poll ?on_rule sys term =
-    let n = ref 0 in
-    let t =
-      run_pinned ?strategy ?fuel ?poll ?on_rule
-        ~on_apply:(fun _ -> incr n)
-        sys term
-    in
-    (t, !n)
-end
 
 module Term_lru = Lru.Make (struct
   type t = Term.t
@@ -792,19 +502,18 @@ module Memo = struct
   let evictions m = Term_lru.evictions m.cache
 end
 
-(* the fused-automaton memo loop: the memo is consulted at application
-   nodes of the subject and at nodes the right-hand-side template
-   {e constructs}; [Fetch]ed registers are returned without even a probe
-   (they are already normal — a probe could only hit). Terms below
-   [memo_cutoff] bypass the memo entirely: a cache transaction (probe
-   plus insert) costs about as much as re-reducing a tiny term, so
-   caching them burns time and capacity to save neither. The cached
-   mapping is term-to-normal-form either way, so the memo stays exchange-
-   able across engines; only the hit/miss counters differ from the
-   generic loop's, because the probe points do. *)
+(* the fused memo loop: the memo is consulted at application nodes of the
+   subject and at nodes the right-hand-side template {e constructs};
+   [Fetch]ed registers are returned without even a probe (they are
+   already normal — a probe could only hit). Terms below [memo_cutoff]
+   bypass the memo entirely: a cache transaction (probe plus insert)
+   costs about as much as re-reducing a tiny term, so caching them burns
+   time and capacity to save neither. A sub-cutoff redex met twice is
+   therefore reduced (and charged) twice, so a memoized step count can
+   exceed the count of a loop that probes every node. *)
 let memo_cutoff = 8
 
-let automaton_memo_count ?(fuel = default_fuel) ?(poll = no_poll) ?on_rule
+let normalize_memo_count ?(fuel = default_fuel) ?(poll = no_poll) ?on_rule
     ~memo sys term =
   let remaining = ref fuel in
   let rec norm t =
@@ -931,56 +640,6 @@ let automaton_memo_count ?(fuel = default_fuel) ?(poll = no_poll) ?on_rule
   in
   (nf, fuel - !remaining)
 
-let indexed_memo_count ?(fuel = default_fuel) ?(poll = no_poll) ?on_rule
-    ~memo sys term =
-  let find = finder sys in
-  let remaining = ref fuel in
-  let rec norm t =
-    match Term.view t with
-    | Term.Var _ | Term.Err _ -> t
-    | Term.Ite (c, th, el) -> (
-      let c' = norm c in
-      if Term.equal c' Term.tt then norm th
-      else if Term.equal c' Term.ff then norm el
-      else
-        match Term.view c' with
-        | Term.Err _ -> Term.err (Term.sort_of th)
-        | _ -> Term.ite_unchecked c' th el)
-    | Term.App (op, args) -> (
-      match Term_lru.find memo.Memo.cache t with
-      | Some nf ->
-        memo.Memo.hits <- memo.Memo.hits + 1;
-        nf
-      | None ->
-        memo.Memo.misses <- memo.Memo.misses + 1;
-        let args' = List.map norm args in
-        let nf =
-          if List.exists Term.is_error args' then Term.err (Op.result op)
-          else
-            let t' =
-              if List.for_all2 ( == ) args args' then t
-              else Term.app_unchecked op args'
-            in
-            match find t' with
-            | None -> t'
-            | Some (r, reduct) ->
-              if !remaining <= 0 then raise (Out_of_fuel t);
-              decr remaining;
-              poll ();
-              fire on_rule r;
-              norm reduct
-        in
-        Term_lru.add memo.Memo.cache t nf;
-        nf)
-  in
-  let nf = norm term in
-  (nf, fuel - !remaining)
-
-let normalize_memo_count ?fuel ?poll ?on_rule ~memo sys term =
-  match sys.engine with
-  | Automaton -> automaton_memo_count ?fuel ?poll ?on_rule ~memo sys term
-  | Reference | Index -> indexed_memo_count ?fuel ?poll ?on_rule ~memo sys term
-
 let normalize_memo ?fuel ?poll ?on_rule ~memo sys term =
   fst (normalize_memo_count ?fuel ?poll ?on_rule ~memo sys term)
 
@@ -998,7 +657,6 @@ let pp_event ppf e =
 (* One leftmost-innermost step with position reporting: locate the leftmost
    innermost redex (builtin steps included). *)
 let step sys term =
-  let find = finder sys in
   let rec locate pos t =
     match Term.view t with
     | Term.Var _ | Term.Err _ -> None
@@ -1025,7 +683,7 @@ let step sys term =
         if List.exists Term.is_error args then
           Some (pos, Term.err (Op.result op), "<error>")
         else (
-          match find t with
+          match find_automaton sys t with
           | Some (r, reduct) -> Some (pos, reduct, r.rule_name)
           | None -> None))
   in
@@ -1038,14 +696,19 @@ let step sys term =
 
 let is_normal_form sys term = Option.is_none (step sys term)
 
-let trace ?(fuel = default_fuel) ?(max_events = 1_000) sys term =
+let trace ?(fuel = default_fuel) ?(max_events = 1_000) ?on_rule sys term =
   let events = ref [] and n_events = ref 0 and remaining = ref fuel in
   let rec go t =
     match step sys t with
     | None -> t
     | Some e ->
-      if !remaining <= 0 then raise (Out_of_fuel t);
-      decr remaining;
+      (* fuel meters rule applications only, as in [normalize]: builtin
+         steps are free *)
+      if not (is_builtin e.rule_used) then begin
+        if !remaining <= 0 then raise (Out_of_fuel t);
+        decr remaining;
+        Option.iter (fun f -> f e.rule_used) on_rule
+      end;
       if !n_events < max_events then begin
         events := e :: !events;
         incr n_events
@@ -1075,36 +738,25 @@ let normalize_stats ?strategy ?fuel sys term =
 
 (* {1 The compiled-system cache}
 
-   Compiling a spec's rule index is pure — the system depends only on the
-   executable axioms in order — so systems are interned by the caller's
-   content key (Spec_digest.spec in practice). Before this cache, every
-   Session spec load and every Interp.create recompiled the two-level
-   index from scratch even when the spec was byte-identical; now a reload
-   of an unchanged spec is one table probe. Sharing a compiled system
+   Compiling a spec's matching automaton is pure — the system depends
+   only on the executable axioms in order — so systems are interned by
+   the caller's content key (Spec_digest.spec in practice): a reload of
+   an unchanged spec is one table probe. Sharing a compiled system
    across interpreters (and domains) is already the forked-interpreter
    contract: the system is immutable after construction. A full cache
    simply resets — compilation is cheap enough that eviction bookkeeping
-   would cost more than the occasional cold refill.
+   would cost more than the occasional cold refill. *)
 
-   Entries are keyed by (content key, engine): a cached system is pinned
-   to the engine it was compiled for, so switching the default engine
-   (ADTC_ENGINE, --engine) reads as a miss and recompiles, never as a
-   stale hit that would silently keep dispatching to the old engine. *)
-
-let compile_cache : (string * string, system) Hashtbl.t = Hashtbl.create 32
+let compile_cache : (string, system) Hashtbl.t = Hashtbl.create 32
 let compile_cache_lock = Mutex.create ()
 let compile_cache_capacity = 512
 let compile_cache_hits = ref 0
 let compile_cache_misses = ref 0
 
-let of_spec_keyed ?engine ~key spec =
-  let engine =
-    match engine with Some e -> e | None -> default_engine ()
-  in
-  let cache_key = (key, engine_name engine) in
+let of_spec_keyed ~key spec =
   let cached =
     Mutex.protect compile_cache_lock (fun () ->
-        match Hashtbl.find_opt compile_cache cache_key with
+        match Hashtbl.find_opt compile_cache key with
         | Some sys ->
           incr compile_cache_hits;
           Some sys
@@ -1115,36 +767,22 @@ let of_spec_keyed ?engine ~key spec =
   match cached with
   | Some sys -> sys
   | None ->
-    let sys = of_spec ~engine spec in
+    let sys = of_spec spec in
     Mutex.protect compile_cache_lock (fun () ->
         if Hashtbl.length compile_cache >= compile_cache_capacity then
           Hashtbl.reset compile_cache;
-        if not (Hashtbl.mem compile_cache cache_key) then
-          Hashtbl.add compile_cache cache_key sys);
+        if not (Hashtbl.mem compile_cache key) then
+          Hashtbl.add compile_cache key sys);
     sys
 
-type compile_cache_stats = {
-  hits : int;
-  misses : int;
-  entries : int;
-  by_engine : (string * int) list;
-}
+type compile_cache_stats = { hits : int; misses : int; entries : int }
 
 let compile_cache_stats () =
   Mutex.protect compile_cache_lock (fun () ->
-      let by_engine =
-        Hashtbl.fold
-          (fun (_, engine) _ acc ->
-            let n = Option.value ~default:0 (List.assoc_opt engine acc) in
-            (engine, n + 1) :: List.remove_assoc engine acc)
-          compile_cache []
-        |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-      in
       {
         hits = !compile_cache_hits;
         misses = !compile_cache_misses;
         entries = Hashtbl.length compile_cache;
-        by_engine;
       })
 
 let compile_cache_clear () =

@@ -18,9 +18,10 @@
     strictness only on arguments in normal form), and is used by the
     completion and proof machinery where laziness is harmless.
 
-    Three matching engines implement the same semantics (see {!engine});
-    they are proven observably identical by the differential harness in
-    [test/test_diff.ml] and selectable per system. *)
+    Redexes are located by a matching automaton ({!Match_tree}) compiled
+    once per system. {!Reference}, a naive linear-scan engine, is kept as
+    the test oracle; the differential harness in [test/test_diff.ml]
+    checks the two are observably identical. *)
 
 type rule = private { rule_name : string; lhs : Term.t; rhs : Term.t }
 
@@ -32,85 +33,37 @@ val rule_of_axiom : Axiom.t -> rule
 val axiom_of_rule : rule -> Axiom.t
 val pp_rule : rule Fmt.t
 
-(** {1 Engine selection}
-
-    How redexes are located (semantics never changes, only speed):
-
-    - [Reference] — the pre-index engine: linear rule scan, deep
-      structural equality, no ids or intern-table shortcuts. The
-      differential oracle.
-    - [Index] — the two-level rule index: head symbol, then
-      first-argument constructor fingerprint; surviving candidates are
-      re-matched structurally.
-    - [Automaton] — rules compiled into a {!Match_tree} matching
-      automaton: every subterm inspected once, rule firing through
-      precomputed right-hand-side templates. The default.
-
-    A system is pinned to the engine it was compiled with
-    ({!engine_of}); every system built without an explicit [?engine]
-    uses {!default_engine}, which is initialized from the [ADTC_ENGINE]
-    environment variable ([reference] | [index] | [auto], default
-    [auto]) and set by the CLI's [--engine] flag. *)
-
-type engine = Reference | Index | Automaton
-
-val engine_name : engine -> string
-(** ["reference"], ["index"], ["auto"]. *)
-
-val engine_of_string : string -> engine option
-(** Accepts (case-insensitively) ["reference"], ["index"]/["indexed"],
-    ["auto"]/["automaton"]. *)
-
-val default_engine : unit -> engine
-val set_default_engine : engine -> unit
-
 type system
 
-val of_spec : ?engine:engine -> Spec.t -> system
+val of_spec : Spec.t -> system
 (** Rules are the specification's {e executable} axioms in order; an axiom
     with free right-hand-side variables ({!Axiom.is_executable} false) is
     skipped — it is an equation the static analyzer reports (ADT011), not a
     rule the rewriter may fire. *)
 
-val of_spec_keyed : ?engine:engine -> key:string -> Spec.t -> system
+val of_spec_keyed : key:string -> Spec.t -> system
 (** {!of_spec} through a process-wide compiled-system cache: [key] must
     identify the specification's executable-axiom list and priority
     order — {!Spec_digest.spec} is (more than) fine — and equal keys
-    (compiled for the same engine) return the {e same} compiled system.
+    return the {e same} compiled system.
     Sound to share across threads and domains: a system is immutable
     after construction (the forked-interpreter contract, {!Interp.fork}).
     This is what makes reloading an unchanged specification one table
-    probe instead of a from-scratch compilation. Cache entries are keyed
-    by (key, engine): requesting a cached spec under a different engine
-    is a miss and compiles afresh, never a stale hit. *)
+    probe instead of a from-scratch compilation. *)
 
-type compile_cache_stats = {
-  hits : int;
-  misses : int;
-  entries : int;
-  by_engine : (string * int) list;
-      (** Live cache entries per engine name, sorted by name. *)
-}
+type compile_cache_stats = { hits : int; misses : int; entries : int }
 
 val compile_cache_stats : unit -> compile_cache_stats
 val compile_cache_clear : unit -> unit
 
-val of_rules : ?engine:engine -> rule list -> system
+val of_rules : rule list -> system
 
 val add_rules : rule list -> system -> system
-(** Added rules take priority over existing ones with the same head. The
-    result keeps the host system's engine, not the global default. *)
+(** Added rules take priority over existing ones with the same head. *)
 
 val add_axioms : Axiom.t list -> system -> system
 val rules : system -> rule list
 val size : system -> int
-
-val engine_of : system -> engine
-(** The engine this system's entry points dispatch to. *)
-
-val with_engine : engine -> system -> system
-(** The same rules (all three engines' structures are always compiled),
-    re-pinned to another engine. O(1). *)
 
 type strategy = Innermost | Outermost
 
@@ -145,9 +98,7 @@ val normalize :
   system ->
   Term.t ->
   Term.t
-(** Raises {!Out_of_fuel}. Dispatches to the system's engine
-    ({!engine_of}); so do {!normalize_opt}, {!normalize_count},
-    {!normalize_memo}, {!step}, {!trace}, and {!normalize_stats}. *)
+(** Raises {!Out_of_fuel}. *)
 
 val normalize_opt :
   ?strategy:strategy ->
@@ -174,17 +125,14 @@ val joinable :
   ?strategy:strategy -> ?fuel:int -> system -> Term.t -> Term.t -> bool
 (** Both terms normalize (within fuel) to equal normal forms. *)
 
-(** {1 The pinned engines}
+(** {1 The reference engine}
 
-    Entry points that dispatch to one fixed engine regardless of the
-    system's own pin — what the differential harness quantifies over and
-    the E18 benchmark compares. [Reference] is the oracle: the rewriting
-    algorithm as it was before the compiled rule index and hash-consed
-    comparisons — a linear scan over every rule in priority order, with
-    a matcher that binds and compares via deep structural equality and
-    never consults term ids, precomputed hashes, or the intern table.
+    The test oracle, for tests and benchmarks only: a linear scan over
+    every rule in priority order, with a matcher that binds and compares
+    via deep structural equality and never consults term ids,
+    precomputed hashes, or the intern table.
     Same strategies, same strict-error and lazy-ite semantics, same fuel
-    accounting on all three. *)
+    accounting as the entry points above. *)
 
 module Reference : sig
   val normalize :
@@ -196,66 +144,6 @@ module Reference : sig
     Term.t ->
     Term.t
   (** Raises {!Out_of_fuel}. *)
-
-  val normalize_opt :
-    ?strategy:strategy ->
-    ?fuel:int ->
-    ?poll:(unit -> unit) ->
-    ?on_rule:(string -> unit) ->
-    system ->
-    Term.t ->
-    Term.t option
-
-  val normalize_count :
-    ?strategy:strategy ->
-    ?fuel:int ->
-    ?poll:(unit -> unit) ->
-    ?on_rule:(string -> unit) ->
-    system ->
-    Term.t ->
-    Term.t * int
-end
-
-(** The two-level rule index (PR 5), pinned. *)
-module Index : sig
-  val normalize :
-    ?strategy:strategy ->
-    ?fuel:int ->
-    ?poll:(unit -> unit) ->
-    ?on_rule:(string -> unit) ->
-    system ->
-    Term.t ->
-    Term.t
-
-  val normalize_opt :
-    ?strategy:strategy ->
-    ?fuel:int ->
-    ?poll:(unit -> unit) ->
-    ?on_rule:(string -> unit) ->
-    system ->
-    Term.t ->
-    Term.t option
-
-  val normalize_count :
-    ?strategy:strategy ->
-    ?fuel:int ->
-    ?poll:(unit -> unit) ->
-    ?on_rule:(string -> unit) ->
-    system ->
-    Term.t ->
-    Term.t * int
-end
-
-(** The matching automaton ({!Match_tree}), pinned. *)
-module Automaton : sig
-  val normalize :
-    ?strategy:strategy ->
-    ?fuel:int ->
-    ?poll:(unit -> unit) ->
-    ?on_rule:(string -> unit) ->
-    system ->
-    Term.t ->
-    Term.t
 
   val normalize_opt :
     ?strategy:strategy ->
@@ -293,10 +181,17 @@ val step : system -> Term.t -> event option
 (** One leftmost-innermost step, or [None] if the term is in normal form. *)
 
 val trace :
-  ?fuel:int -> ?max_events:int -> system -> Term.t -> Term.t * event list
+  ?fuel:int ->
+  ?max_events:int ->
+  ?on_rule:(string -> unit) ->
+  system ->
+  Term.t ->
+  Term.t * event list
 (** Innermost normalization recording every step (up to [max_events], after
-    which steps are still performed but not recorded). Raises
-    {!Out_of_fuel}. *)
+    which steps are still performed but not recorded). Fuel and [on_rule]
+    meter rule applications only, exactly as in {!normalize_count}:
+    builtin error / if-then-else steps are free, so a term traces within
+    the same budget it normalizes in. Raises {!Out_of_fuel}. *)
 
 val pp_event : event Fmt.t
 

@@ -158,7 +158,7 @@ let test_quit_and_silent () =
 let test_bounded_session_cache () =
   let session = queue_session ~cache_capacity:4 () in
   (* more distinct roots than the cache holds: every query's root term is
-     memoized under every engine, so six distinct queries must evict *)
+     memoized whatever its size, so six distinct queries must evict *)
   ignore (reply session "normalize Queue FRONT(REMOVE(ADD(ADD(ADD(NEW, ITEM1), ITEM2), ITEM3)))");
   ignore (reply session "normalize Queue FRONT(ADD(ADD(NEW, ITEM2), ITEM3))");
   ignore (reply session "normalize Queue FRONT(ADD(NEW, ITEM1))");

@@ -2,8 +2,9 @@
    priority, non-left-linear deferred equality, and right-hand-side
    template instantiation — plus qcheck properties that automaton matches
    agree with the linear scan ([Subst.match_term] in declaration order)
-   on random corpus terms, and that single [Rewrite.step]s (rule fired,
-   position, result) agree across all three engines. *)
+   on random corpus terms, and that [Rewrite.trace], built on single
+   [Rewrite.step]s, reaches the reference engine's normal form in the
+   same number of rule applications. *)
 
 open Adt
 open Helpers
@@ -167,56 +168,53 @@ let match_agrees (sys, t) =
   in
   all_subterms t
 
-(* single steps agree across all three engines: same redex position, same
-   rule name, same resulting term *)
-let step_agrees (sys, t) =
-  let step engine = Rewrite.step (Rewrite.with_engine engine sys) t in
-  match
-    (step Rewrite.Reference, step Rewrite.Index, step Rewrite.Automaton)
-  with
-  | None, None, None -> true
-  | Some a, Some b, Some c ->
-    let same (x : Rewrite.event) (y : Rewrite.event) =
-      x.Rewrite.position = y.Rewrite.position
-      && String.equal x.Rewrite.rule_used y.Rewrite.rule_used
-      && Term.equal x.Rewrite.after y.Rewrite.after
-    in
-    same a b && same a c
+(* stepping through the automaton's redexes one at a time reaches the
+   oracle's normal form, firing exactly as many rules: the builtin <if> /
+   <error> events are the only ones the oracle does not count *)
+let trace_agrees (sys, t) =
+  let oracle =
+    match Rewrite.Reference.normalize_count sys t with
+    | r -> Some r
+    | exception Rewrite.Out_of_fuel _ -> None
+  in
+  let traced =
+    match Rewrite.trace ~max_events:max_int sys t with
+    | nf, events ->
+      let rules =
+        List.filter
+          (fun e ->
+            not (List.mem e.Rewrite.rule_used [ "<if>"; "<error>" ]))
+          events
+      in
+      Some (nf, List.length rules)
+    | exception Rewrite.Out_of_fuel _ -> None
+  in
+  match (oracle, traced) with
+  | None, None -> true
+  | Some (nf0, n0), Some (nf, n) -> Term.equal nf0 nf && n0 = n
   | _ -> false
 
-(* {1 The compile cache is engine-keyed} *)
+(* {1 The compile cache} *)
 
-(* switching the default engine must read as a miss (and a fresh
-   compilation), never as a stale hit that keeps the old engine *)
-let test_cache_engine_switch () =
-  let saved = Rewrite.default_engine () in
-  Fun.protect
-    ~finally:(fun () -> Rewrite.set_default_engine saved)
-    (fun () ->
-      Rewrite.compile_cache_clear ();
-      let key = "test-match-tree/engine-switch" in
-      Rewrite.set_default_engine Rewrite.Index;
-      let sys_index = Rewrite.of_spec_keyed ~key nat_spec in
-      Rewrite.set_default_engine Rewrite.Automaton;
-      let sys_auto = Rewrite.of_spec_keyed ~key nat_spec in
-      let stats = Rewrite.compile_cache_stats () in
-      Alcotest.(check int) "both compilations miss" 2 stats.Rewrite.misses;
-      Alcotest.(check int) "no stale hit" 0 stats.Rewrite.hits;
-      Alcotest.(check bool)
-        "index system kept its engine" true
-        (Rewrite.engine_of sys_index = Rewrite.Index);
-      Alcotest.(check bool)
-        "automaton system got the new engine" true
-        (Rewrite.engine_of sys_auto = Rewrite.Automaton);
-      (* same key, same engine: now it hits, and returns the same system *)
-      let sys_auto' = Rewrite.of_spec_keyed ~key nat_spec in
-      let stats = Rewrite.compile_cache_stats () in
-      Alcotest.(check int) "re-request hits" 1 stats.Rewrite.hits;
-      Alcotest.(check bool) "same compiled system" true (sys_auto' == sys_auto);
-      Alcotest.(check (list (pair string int)))
-        "entries attributed per engine"
-        [ ("auto", 1); ("index", 1) ]
-        stats.Rewrite.by_engine)
+(* one key, one compiled system: a repeated key hits and returns the very
+   same system; a different key misses and compiles afresh *)
+let test_compile_cache () =
+  Rewrite.compile_cache_clear ();
+  let key = "test-match-tree/compile-cache" in
+  let sys = Rewrite.of_spec_keyed ~key nat_spec in
+  let stats = Rewrite.compile_cache_stats () in
+  Alcotest.(check int) "first request misses" 1 stats.Rewrite.misses;
+  Alcotest.(check int) "no hit yet" 0 stats.Rewrite.hits;
+  let sys' = Rewrite.of_spec_keyed ~key nat_spec in
+  let stats = Rewrite.compile_cache_stats () in
+  Alcotest.(check int) "re-request hits" 1 stats.Rewrite.hits;
+  Alcotest.(check bool) "same compiled system" true (sys' == sys);
+  let other = Rewrite.of_spec_keyed ~key:(key ^ "/other") nat_spec in
+  let stats = Rewrite.compile_cache_stats () in
+  Alcotest.(check int) "a different key misses" 2 stats.Rewrite.misses;
+  Alcotest.(check int) "still one hit" 1 stats.Rewrite.hits;
+  Alcotest.(check int) "two entries" 2 stats.Rewrite.entries;
+  Alcotest.(check bool) "a fresh system" false (other == sys)
 
 let suite =
   [
@@ -226,9 +224,9 @@ let suite =
     case "non-left-linear deferred equality" test_non_left_linear;
     case "rhs template instantiation" test_rhs_template;
     case "run_with reports the substitution" test_run_with_bindings;
-    case "compile cache is engine-keyed" test_cache_engine_switch;
+    case "compile cache: same key hits, other key misses" test_compile_cache;
     qcheck ~count:300 "automaton match = linear scan (corpus)" pair_gen
       match_agrees;
-    qcheck ~count:300 "step position/rule/result agree (corpus)" pair_gen
-      step_agrees;
+    qcheck ~count:300 "trace = reference normal form and steps (corpus)"
+      pair_gen trace_agrees;
   ]

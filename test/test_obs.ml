@@ -278,15 +278,11 @@ let test_malformed_counter () =
   Alcotest.(check bool) "stats line reports malformed" true
     (contains (reply session "stats") "malformed=1")
 
-(* the memoized step count for FRONT(REMOVE(ADD(ADD(NEW, ITEM1), ITEM2)))
-   is engine-specific: the automaton's fused memo loop re-derives
-   sub-cutoff redexes (the second IS_EMPTY?(NEW)) instead of probing the
-   cache for them, so it charges 6 steps where the generic memo loop of
-   the oracle engines charges 5 (the tiny redex is a hit there) *)
-let memoized_steps () =
-  match Adt.Rewrite.default_engine () with
-  | Adt.Rewrite.Automaton -> 6
-  | Adt.Rewrite.Index | Adt.Rewrite.Reference -> 5
+(* the memoized step count for FRONT(REMOVE(ADD(ADD(NEW, ITEM1), ITEM2))):
+   the memo loop re-derives sub-cutoff redexes (the second IS_EMPTY?(NEW))
+   instead of probing the cache for them, so it charges all 6 rule
+   applications, as the unmemoized normalization does *)
+let memoized_steps = 6
 
 let test_prometheus_exposition () =
   let session = queue_session () in
@@ -301,9 +297,9 @@ let test_prometheus_exposition () =
       "adtc_request_latency_seconds_bucket{le=\"";
       "adtc_request_latency_seconds_bucket{le=\"+Inf\"} 1";
       "adtc_request_latency_seconds_count 1";
-      Fmt.str "adtc_request_fuel_steps_sum %d" (memoized_steps ());
+      Fmt.str "adtc_request_fuel_steps_sum %d" memoized_steps;
       "adtc_requests_kind_total{kind=\"normalize\"} 1";
-      Fmt.str "adtc_fuel_steps_total %d" (memoized_steps ());
+      Fmt.str "adtc_fuel_steps_total %d" memoized_steps;
       "adtc_malformed_requests_total 0";
       "adtc_cache_misses_total";
       "adtc_specs_loaded 1";
@@ -344,7 +340,7 @@ let test_trace_steps_match_fuel () =
   (match outcome with
   | Dispatch.Reply r ->
     Alcotest.(check string) "answered"
-      (Fmt.str "ok normalize steps=%d ITEM2" (memoized_steps ()))
+      (Fmt.str "ok normalize steps=%d ITEM2" memoized_steps)
       r
   | _ -> Alcotest.fail "expected a reply");
   let r = Option.get result in
@@ -353,9 +349,9 @@ let test_trace_steps_match_fuel () =
   Alcotest.(check int) "trace step total is the stats fuel counter" fuel
     r.Obs.Trace.total_steps;
   Alcotest.(check int) "which is the response's step count"
-    (memoized_steps ()) r.Obs.Trace.total_steps;
+    memoized_steps r.Obs.Trace.total_steps;
   Alcotest.(check int) "every firing is attributed to a rule"
-    (memoized_steps ())
+    memoized_steps
     (List.fold_left (fun acc (_, n) -> acc + n) 0 r.Obs.Trace.rules);
   (* prove requests meter through the same hook *)
   let _, proved =

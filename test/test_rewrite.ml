@@ -95,6 +95,29 @@ let test_trace_includes_builtin_steps () =
   Alcotest.(check bool) "has <if> step" true
     (List.exists (fun e -> e.Rewrite.rule_used = "<if>") events)
 
+(* trace meters fuel exactly as normalize does, charging rule
+   applications only: the <if> / <error> events of this Queue term are
+   free, so it traces within the budget it normalizes in and runs out one
+   step below it *)
+let test_trace_fuel_matches_normalize () =
+  let spec = Adt_specs.Queue_spec.spec in
+  let sys = Rewrite.of_spec spec in
+  let t = parse_term_exn spec "FRONT(REMOVE(ADD(ADD(NEW, ITEM1), ITEM2)))" in
+  let nf, steps = Rewrite.normalize_count sys t in
+  let traced, events = Rewrite.trace ~fuel:steps sys t in
+  check_term "same normal form at the exact budget" nf traced;
+  Alcotest.(check bool) "the trace has builtin events" true
+    (List.exists (fun e -> e.Rewrite.rule_used = "<if>") events);
+  let out_of_fuel f =
+    match f () with
+    | _ -> false
+    | exception Rewrite.Out_of_fuel _ -> true
+  in
+  Alcotest.(check bool) "normalize runs out one step below" true
+    (out_of_fuel (fun () -> Rewrite.normalize ~fuel:(steps - 1) sys t));
+  Alcotest.(check bool) "and so does trace" true
+    (out_of_fuel (fun () -> Rewrite.trace ~fuel:(steps - 1) sys t))
+
 let test_is_normal_form () =
   Alcotest.(check bool) "value" true (Rewrite.is_normal_form nat_system (church 2));
   Alcotest.(check bool) "redex" false
@@ -142,6 +165,7 @@ let suite =
     case "joinability" test_joinable;
     case "single steps and traces" test_step_and_trace;
     case "traces record builtin steps" test_trace_includes_builtin_steps;
+    case "trace fuel = normalize fuel" test_trace_fuel_matches_normalize;
     case "normal-form recognition" test_is_normal_form;
     case "firing statistics" test_stats;
     case "rule validation" test_rule_validation;
