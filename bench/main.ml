@@ -338,14 +338,14 @@ let e4 () =
   let scaled8 = scaled 8 and scaled16 = scaled 16 and scaled32 = scaled 32 in
   report_group "checker cost vs specification size"
     [
-      t "e4/check/queue-6-axioms" (fun () -> Completeness.check Queue_spec.spec);
+      t "e4/check/queue-6-axioms" (fun () -> Completeness.holes Queue_spec.spec);
       t "e4/check/symboltable" (fun () ->
-          Completeness.check Symboltable_spec.spec);
+          Completeness.holes Symboltable_spec.spec);
       t "e4/check/refinement" (fun () ->
-          Completeness.check Refinement.combined);
-      t "e4/check/identifier-08-atoms" (fun () -> Completeness.check scaled8);
-      t "e4/check/identifier-16-atoms" (fun () -> Completeness.check scaled16);
-      t "e4/check/identifier-32-atoms" (fun () -> Completeness.check scaled32);
+          Completeness.holes Refinement.combined);
+      t "e4/check/identifier-08-atoms" (fun () -> Completeness.holes scaled8);
+      t "e4/check/identifier-16-atoms" (fun () -> Completeness.holes scaled16);
+      t "e4/check/identifier-32-atoms" (fun () -> Completeness.holes scaled32);
     ]
 
 (* {1 E5 - consistency: critical pairs and completion (section 3)} *)
@@ -1061,8 +1061,8 @@ let write_e16 path =
 
 (* {1 E17 - verification wall-clock: ADT020/021/022 per corpus spec} *)
 
-(* One [Verify.summarize] per specification: the Maranget usefulness
-   matrix behind sufficient completeness, the greedy RPO precedence
+(* One [Verify.summarize] per specification: the Maranget pattern
+   matrices behind sufficient completeness, the greedy RPO precedence
    search behind termination, and the critical-pair joinability check
    behind confluence. `adtc check` and the ADT02x lint rules pay exactly
    this on every run, so the per-spec cost is the interactive latency

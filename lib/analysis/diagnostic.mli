@@ -2,12 +2,14 @@
 
     Guttag's section 3 calls for a {e mechanical} procedure that examines an
     axiomatisation and tells the user what is wrong with it. The repo's two
-    deep checkers ({!Adt.Completeness}, {!Adt.Consistency}) and the five
-    cheap well-formedness passes of this library all report through this one
-    currency: a diagnostic with a stable [ADTxxx] code, a severity, a locus
-    (specification, and optionally the operation or axiom concerned), a
-    human message, and — when the analyzer can compute one — a concrete fix
-    suggestion (fed by {!Adt.Heuristics.stub_axioms} for missing cases).
+    deep checkers ({!Adt.Completeness}, {!Adt.Consistency}), the decision
+    passes of {!Verify} and the five cheap well-formedness passes of this
+    library all report through this one currency: a diagnostic with a
+    stable [ADTxxx] code, a severity, a locus (specification, and
+    optionally the operation or axiom concerned), a human message, and —
+    when the analyzer can compute one — a concrete fix suggestion (the
+    stub {!Adt.Heuristics.stub_axioms} builds from a completeness hole, for
+    ADT001).
 
     Codes are append-only: a code, once published, never changes meaning. *)
 
@@ -67,7 +69,7 @@ val rules : rule_info list
     - [ADT013 unreachable-sort] (error) — constructed sort with no ground term
     - [ADT014 non-strict-error] (warning) — axiom pattern-matches on [error]
     - [ADT020 sufficient-completeness] (error) — uncovered constructor
-      context decided by pattern-matrix usefulness
+      context, one per {!Adt.Completeness.holes} entry
     - [ADT021 termination] (error) — axiom no searched recursive path
       ordering orients
     - [ADT022 confluence] (error) — confluence refuted or not established

@@ -4,11 +4,11 @@ type config = { only : string list option; fuel : int option }
 
 let default_config = { only = None; fuel = None }
 
-(* ADT001: adapt the heuristic prompting system. Each missing constructor
-   case becomes one finding; the suggestion is the forced right-hand side
-   when the heuristics found one, otherwise the [lhs = error] stub that
+(* ADT001: adapt the heuristic prompting system. Each prompt becomes one
+   finding; the suggestion is the forced right-hand side when the
+   heuristics found one, otherwise the [lhs = error] stub that
    {!Heuristics.stub_axioms} would generate. *)
-let missing_cases spec =
+let missing_cases spec holes =
   List.map
     (fun (p : Heuristics.prompt) ->
       let kind =
@@ -25,14 +25,15 @@ let missing_cases spec =
         ~spec:(Spec.name spec) ~op:(Op.name p.op) ~suggestion
         (Fmt.str "no axiom covers %s %a; %s" kind Term.pp p.missing_lhs
            p.question))
-    (Heuristics.prompts spec)
+    (Heuristics.prompts ~holes spec)
 
 (* the analysis pass-version, persisted into the engine's lint record kind:
    bumping it invalidates every cached lint verdict produced by an older
    pass set (counted as store misses, never served stale). Bump on any
    change to the rule set or to a rule's semantics. Version 2 added the
-   verification passes ADT020-ADT022. *)
-let pass_version = 2
+   verification passes ADT020-ADT022; version 3 derived ADT001 from the
+   ADT020 hole list. *)
+let pass_version = 3
 
 let static_codes = [ "ADT010"; "ADT011"; "ADT012"; "ADT013"; "ADT014" ]
 let verify_codes = [ "ADT020"; "ADT021"; "ADT022" ]
@@ -62,14 +63,16 @@ let run ?(config = default_config) spec =
      disagree about which pairs exist, whether they join, or whether the
      system terminates *)
   let analysis = lazy (Verify.analyze ?fuel:config.fuel spec) in
+  (* likewise ADT001 and ADT020 read one hole list *)
+  let holes = lazy (Completeness.holes spec) in
   List.concat_map
     (fun (r : Diagnostic.rule_info) ->
       if not (wanted r.Diagnostic.rule_code) then []
       else
         match r.Diagnostic.rule_code with
-        | "ADT001" -> missing_cases spec
+        | "ADT001" -> missing_cases spec (Lazy.force holes)
         | "ADT002" -> Verify.adt002 (Lazy.force analysis)
-        | "ADT020" -> Verify.adt020 spec
+        | "ADT020" -> Verify.adt020 spec (Lazy.force holes)
         | "ADT021" -> Verify.adt021 (Lazy.force analysis)
         | "ADT022" -> Verify.adt022 (Lazy.force analysis)
         | code -> pass_of_code code spec)

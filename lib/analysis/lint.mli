@@ -6,11 +6,12 @@
     the critical-pair analysis — the ADT01x rules are purely syntactic
     passes over the axiom list, and the ADT02x rules are the {!Verify}
     decision passes (pattern-matrix completeness, RPO termination,
-    critical-pair confluence). ADT002, ADT021 and ADT022 share one
-    {!Verify.analyze} computation per run, so their verdicts can never
+    critical-pair confluence). ADT001 and ADT020 share one
+    {!Adt.Completeness.holes} list per run, and ADT002, ADT021 and ADT022
+    one {!Verify.analyze} computation, so their verdicts can never
     disagree. [static] runs only the syntactic passes and [verify] only
-    the decision passes; [adtc check] uses both alongside the completeness
-    and consistency reports it prints itself. *)
+    the decision passes; [adtc check] uses both alongside the consistency
+    report and verification verdict it prints itself. *)
 
 type config = {
   only : string list option;

@@ -1,79 +1,5 @@
 open Adt
 
-(* {1 Sufficient completeness (ADT020)} *)
-
-type hole = { hole_op : Op.t; witness : Term.t; decided : bool }
-type completeness_report = { c_spec : string; holes : hole list }
-
-let lhs_args ax =
-  match Term.view (Axiom.lhs ax) with Term.App (_, args) -> args | _ -> []
-
-(* a row joins the matrix only when its patterns are constructor contexts:
-   an argument pattern headed by an observer, [error] or [if-then-else]
-   never matches a ground constructor term, so such an axiom contributes
-   nothing to coverage (ADT014 reports the error case separately) *)
-let admissible spec ax =
-  List.for_all (Spec.is_constructor_term spec) (lhs_args ax)
-
-(* brute-force confirmation used when non-left-linear axioms are in play:
-   a tuple of ground constructor arguments no executable left-hand side
-   matches at the root, if one exists within the size bound *)
-let ground_witness spec op patterns ~size =
-  let u = Enum.universe spec in
-  let arg_sorts = Op.args op in
-  let choices = List.map (fun s -> Enum.terms_up_to u s ~size) arg_sorts in
-  if List.exists (fun c -> c = []) choices then None
-  else begin
-    let exception Found of Term.t in
-    let check args =
-      let t = Term.app op args in
-      if not (List.exists (fun p -> Subst.matches ~pattern:p t) patterns) then
-        raise (Found t)
-    in
-    let rec product acc = function
-      | [] -> check (List.rev acc)
-      | cs :: rest -> List.iter (fun c -> product (c :: acc) rest) cs
-    in
-    try
-      product [] choices;
-      None
-    with Found t -> Some t
-  end
-
-let completeness spec =
-  let holes =
-    List.filter_map
-      (fun op ->
-        let axs =
-          List.filter Axiom.is_executable (Spec.axioms_for op spec)
-          |> List.filter (admissible spec)
-        in
-        let linear, nonlinear = List.partition Axiom.is_left_linear axs in
-        let m =
-          Pattern_matrix.create spec ~sorts:(Op.args op)
-            ~rows:(List.map lhs_args linear)
-        in
-        match Pattern_matrix.uncovered m with
-        | None -> None
-        | Some args -> (
-          let candidate = Term.app op args in
-          if nonlinear = [] then
-            Some { hole_op = op; witness = candidate; decided = true }
-          else
-            (* the excluded non-left-linear rows may cover the candidate;
-               decide by ground enumeration over a small universe *)
-            match
-              ground_witness spec op (List.map Axiom.lhs axs) ~size:4
-            with
-            | Some w -> Some { hole_op = op; witness = w; decided = true }
-            | None ->
-              Some { hole_op = op; witness = candidate; decided = false }))
-      (Spec.observers spec)
-  in
-  { c_spec = Spec.name spec; holes }
-
-let sufficiently_complete r = r.holes = []
-
 (* {1 Termination + confluence analysis (ADT021/ADT022, shared with ADT002)} *)
 
 type status =
@@ -119,31 +45,28 @@ let analyze ?fuel spec =
 
 (* {1 Findings} *)
 
-let adt020 spec =
-  let r = completeness spec in
+let adt020 spec holes =
   List.map
-    (fun h ->
-      let op = Op.name h.hole_op in
+    (fun (h : Completeness.hole) ->
+      let op = Op.name h.op and witness = Term.to_string h.witness in
       if h.decided then
-        Diagnostic.v ~code:"ADT020" ~severity:Diagnostic.Error ~spec:r.c_spec
-          ~op
-          ~suggestion:
-            (Fmt.str "add an axiom with left-hand side %s"
-               (Term.to_string h.witness))
+        Diagnostic.v ~code:"ADT020" ~severity:Diagnostic.Error
+          ~spec:(Spec.name spec) ~op
+          ~suggestion:(Fmt.str "add an axiom with left-hand side %s" witness)
           (Fmt.str
              "the ground constructor context %s is matched by no executable \
               axiom: the specification is not sufficiently complete"
-             (Term.to_string h.witness))
+             witness)
       else
-        Diagnostic.v ~code:"ADT020" ~severity:Diagnostic.Warning ~spec:r.c_spec
-          ~op
+        Diagnostic.v ~code:"ADT020" ~severity:Diagnostic.Warning
+          ~spec:(Spec.name spec) ~op
           ~suggestion:"replace the non-left-linear axioms by linear case splits"
           (Fmt.str
              "the pattern matrix leaves %s uncovered, but non-left-linear \
               axioms keep the verdict open (no ground counterexample up to \
               size 4)"
-             (Term.to_string h.witness)))
-    r.holes
+             witness))
+    holes
 
 let adt021 a =
   let spec_name = Spec.name a.a_spec in
@@ -268,18 +191,17 @@ let adt002 a =
 
 type summary = {
   s_spec : string;
-  s_holes : hole list;
+  s_holes : Completeness.hole list;
   s_unoriented : Axiom.t list;
   s_status : status;
   s_pairs : int;
 }
 
 let summarize ?fuel spec =
-  let c = completeness spec in
   let a = analyze ?fuel spec in
   {
     s_spec = Spec.name spec;
-    s_holes = c.holes;
+    s_holes = Completeness.holes spec;
     s_unoriented = a.search.Ordering.unoriented;
     s_status = a.status;
     s_pairs = List.length a.report.Consistency.pairs;
@@ -297,7 +219,8 @@ let pp_summary ppf s =
     match s.s_holes with
     | [] -> Fmt.string ppf "sufficiently complete"
     | holes ->
-      if List.for_all (fun h -> not h.decided) holes then
+      if List.for_all (fun (h : Completeness.hole) -> not h.decided) holes
+      then
         Fmt.pf ppf "completeness undecided (%d open context(s))"
           (List.length holes)
       else

@@ -1,17 +1,18 @@
 (** The verification passes: sufficient completeness (ADT020), termination
     (ADT021), and confluence (ADT022).
 
-    Where ADT001 adapts the {e heuristic} prompting system of
-    {!Adt.Heuristics} (section 3's engineering reading of the paper), these
-    three passes {e decide} the properties the paper's method rests on:
+    These three passes {e decide} the properties the paper's method rests
+    on:
 
-    - {b ADT020} — each observer's defining left-hand sides, read as a
-      pattern matrix over the observer's argument sorts, must be exhaustive
-      ({!Adt.Pattern_matrix}); the uncovered witness is a concrete ground
-      constructor context such as [FRONT(NEW)]. Non-left-linear axioms are
-      excluded from the matrix (it would over-approximate their coverage);
-      a candidate hole is then confirmed by ground enumeration over a small
-      universe, or demoted to an undecided warning when no ground
+    - {b ADT020} — one finding per {!Adt.Completeness.hole}: each
+      observer's defining left-hand sides, read as a pattern matrix over
+      the observer's argument sorts, must be exhaustive; the witness is a
+      concrete ground constructor context such as [FRONT(NEW)]. The same
+      hole list feeds ADT001's prompts ({!Adt.Heuristics}), so the two
+      rules always name the same operations. Non-left-linear axioms are
+      excluded from the matrix (it would over-approximate their
+      coverage); a hole is then confirmed by ground enumeration over a
+      small universe, or demoted to an undecided warning when no ground
       counterexample surfaces.
     - {b ADT021} — a recursive-path-ordering prover with greedy precedence
       search ({!Adt.Ordering.search}) orients every executable axiom or
@@ -26,23 +27,6 @@
     ADT002 (critical-pair divergence, per pair) is routed through the same
     {!analysis} value as ADT022, so the two rules can never disagree about
     which pairs exist or whether they join. *)
-
-(** {1 Sufficient completeness (ADT020)} *)
-
-type hole = {
-  hole_op : Adt.Op.t;
-  witness : Adt.Term.t;
-      (** A constructor context no executable axiom matches at the root —
-          ground except at parameter-sort positions. *)
-  decided : bool;
-      (** [false] when excluded non-left-linear axioms might cover the
-          witness and ground enumeration found no counterexample. *)
-}
-
-type completeness_report = { c_spec : string; holes : hole list }
-
-val completeness : Adt.Spec.t -> completeness_report
-val sufficiently_complete : completeness_report -> bool
 
 (** {1 Termination + confluence (ADT021, ADT022, shared with ADT002)} *)
 
@@ -70,9 +54,10 @@ val analyze : ?fuel:int -> Adt.Spec.t -> analysis
 
 (** {1 Findings} *)
 
-val adt020 : Adt.Spec.t -> Diagnostic.t list
-(** One finding per {!hole}: error with the witness when decided, warning
-    when non-left-linear axioms leave it open. *)
+val adt020 : Adt.Spec.t -> Adt.Completeness.hole list -> Diagnostic.t list
+(** One finding per hole of {!Adt.Completeness.holes}: error with the
+    witness when decided, warning when non-left-linear axioms leave it
+    open. *)
 
 val adt021 : analysis -> Diagnostic.t list
 (** One error per non-orientable executable axiom. *)
@@ -92,7 +77,7 @@ val adt002 : analysis -> Diagnostic.t list
 
 type summary = {
   s_spec : string;
-  s_holes : hole list;
+  s_holes : Adt.Completeness.hole list;
   s_unoriented : Adt.Axiom.t list;
   s_status : status;
   s_pairs : int;
@@ -100,7 +85,7 @@ type summary = {
 
 val summarize : ?fuel:int -> Adt.Spec.t -> summary
 (** Runs all three passes; [adtc check] prints this one-line verdict per
-    specification. *)
+    specification and takes its completeness verdict from [s_holes]. *)
 
 val verified : summary -> bool
 (** Sufficiently complete, terminating, and confluent. *)

@@ -1,213 +1,93 @@
-type case = { pattern : Term.t; covered_by : string list }
-type op_report = { op : Op.t; cases : case list; unconstrained : bool }
+type hole = { op : Op.t; pattern : Term.t; witness : Term.t; decided : bool }
 
-type report = {
-  spec_name : string;
-  op_reports : op_report list;
-  overlaps : (Term.t * string list) list;
-}
+let lhs_args ax =
+  match Term.view (Axiom.lhs ax) with Term.App (_, args) -> args | _ -> []
 
-let axiom_label ax =
-  if String.equal (Axiom.name ax) "" then Fmt.str "%a" Axiom.pp ax
-  else Axiom.name ax
+(* a row joins the matrix only when its patterns are constructor contexts:
+   an argument pattern headed by an observer, [error] or [if-then-else]
+   never matches a ground constructor term, so such an axiom contributes
+   nothing to coverage (ADT014 reports the error case separately) *)
+let admissible spec ax =
+  List.for_all (Spec.is_constructor_term spec) (lhs_args ax)
 
-(* Subsumption: the pattern is an instance of the axiom's left-hand side. *)
-let subsumers axioms pattern =
-  List.filter (fun ax -> Subst.matches ~pattern:(Axiom.lhs ax) pattern) axioms
-
-(* Find the leftmost-outermost position where [pattern] has a variable of a
-   sort with constructors and some axiom's left-hand side has a non-variable
-   term: the position where a case split makes progress. *)
-let split_position spec axioms pattern =
-  let rec zip pos p l =
-    match (Term.view p, Term.view l) with
-    | Term.Var (_, sort), (Term.App _ | Term.Err _) ->
-      if Spec.has_constructors sort spec then Some (pos, sort) else None
-    | Term.App (f, ps), Term.App (g, ls) when Op.equal f g ->
-      zip_children pos 0 ps ls
-    | _ -> None
-  and zip_children pos i ps ls =
-    match (ps, ls) with
-    | [], [] -> None
-    | p :: ps', l :: ls' -> (
-      match zip (pos @ [ i ]) p l with
-      | Some _ as hit -> hit
-      | None -> zip_children pos (i + 1) ps' ls')
-    | _ -> None
-  in
-  List.find_map (fun ax -> zip [] pattern (Axiom.lhs ax)) axioms
-
-(* Replace the variable at [pos] in [pattern] by fresh-variable applications
-   of each constructor of its sort. *)
-let split_cases spec pattern pos sort =
-  let avoid = Term.vars pattern in
-  let expand op =
-    let taken = ref avoid in
-    let fresh arg_sort =
-      let base = String.lowercase_ascii (Sort.name arg_sort) in
-      let name = Term.fresh_wrt ~avoid:!taken base arg_sort in
-      taken := (name, arg_sort) :: !taken;
-      Term.var name arg_sort
-    in
-    Term.app op (List.map fresh (Op.args op))
-  in
-  List.filter_map
-    (fun op -> Term.replace_at pattern pos (expand op))
-    (Spec.constructors_of_sort sort spec)
-
-(* With no axioms to guide the split, still expand the first
-   constructor-bearing argument one level, so the report lists the
-   constructor cases a complete axiomatisation must cover (the shape the
-   paper's prompting system presents to the user). *)
-let unguided_split spec pattern =
-  let rec find i = function
-    | [] -> None
-    | arg :: rest -> (
-      match Term.view arg with
-      | Term.Var (_, sort) when Spec.has_constructors sort spec ->
-        Some ([ i ], sort)
-      | _ -> find (i + 1) rest)
-  in
-  match Term.view pattern with
-  | Term.App (_, args) -> find 0 args
-  | _ -> None
-
-let check_op spec op =
-  let axioms = Spec.axioms_for op spec in
-  let general =
-    Term.app op
-      (List.mapi
-         (fun i sort ->
-           Term.var
-             (Fmt.str "%s%d" (String.lowercase_ascii (Sort.name sort)) (i + 1))
-             sort)
-         (Op.args op))
-  in
-  let rec analyse ~unguided pattern =
-    match subsumers axioms pattern with
-    | _ :: _ as covering ->
-      [ { pattern; covered_by = List.map axiom_label covering } ]
-    | [] -> (
-      match split_position spec axioms pattern with
-      | Some (pos, sort) ->
-        List.concat_map (analyse ~unguided) (split_cases spec pattern pos sort)
-      | None -> (
-        match if unguided > 0 then unguided_split spec pattern else None with
-        | Some (pos, sort) ->
-          List.concat_map
-            (analyse ~unguided:(unguided - 1))
-            (split_cases spec pattern pos sort)
-        | None -> [ { pattern; covered_by = [] } ]))
-  in
-  let cases = analyse ~unguided:(if axioms = [] then 1 else 0) general in
-  let unconstrained =
-    axioms = []
-    && not
-         (List.exists (fun s -> Spec.has_constructors s spec) (Op.args op))
-  in
-  { op; cases; unconstrained }
-
-(* Two axioms of the same operation whose left-hand sides unify define the
-   common instance twice — a consistency hazard surfaced here and settled by
-   the critical-pair analysis of {!Consistency}. *)
-let axiom_overlaps spec =
-  let axioms = Spec.axioms spec in
-  let rec pairs acc = function
-    | [] -> List.rev acc
-    | ax :: rest ->
-      let acc =
-        List.fold_left
-          (fun acc other ->
-            if not (Op.equal (Axiom.head ax) (Axiom.head other)) then acc
-            else
-              (* primes are legal in identifiers: extend the suffix until
-                 the renamed variables are disjoint from [ax]'s *)
-              let ax_names = List.map fst (Axiom.vars ax) in
-              let clashes suffix =
-                List.exists
-                  (fun (x, _) -> List.mem (x ^ suffix) ax_names)
-                  (Axiom.vars other)
-              in
-              let rec fresh suffix =
-                if clashes suffix then fresh (suffix ^ "'") else suffix
-              in
-              let other' = Axiom.freshen ~suffix:(fresh "'") other in
-              match Subst.unify (Axiom.lhs ax) (Axiom.lhs other') with
-              | Some mgu ->
-                ( Subst.apply mgu (Axiom.lhs ax),
-                  [ axiom_label ax; axiom_label other ] )
-                :: acc
-              | None -> acc)
-          acc rest
+(* the matrix names every wildcard of a sort alike; keep the first
+   occurrence of a name and freshen the later ones, so a hole is a
+   left-linear pattern (and a stub built from it a left-linear axiom) *)
+let rename_apart t =
+  let taken = ref [] in
+  Term.map_vars
+    (fun x s ->
+      let name =
+        if List.mem_assoc x !taken then Term.fresh_wrt ~avoid:!taken x s else x
       in
-      pairs acc rest
+      taken := (name, s) :: !taken;
+      Term.var name s)
+    t
+
+(* brute-force confirmation used when non-left-linear axioms are in play:
+   an instance of [within] built from ground constructor arguments that no
+   executable left-hand side matches at the root, if one exists within the
+   size bound *)
+let ground_witness u op ~within patterns ~size =
+  let choices = List.map (fun s -> Enum.terms_up_to u s ~size) (Op.args op) in
+  let exception Found of Term.t in
+  let check args =
+    let t = Term.app op args in
+    if
+      Subst.matches ~pattern:within t
+      && not (List.exists (fun p -> Subst.matches ~pattern:p t) patterns)
+    then raise (Found t)
   in
-  pairs [] axioms
+  let rec product acc = function
+    | [] -> check (List.rev acc)
+    | cs :: rest -> List.iter (fun c -> product (c :: acc) rest) cs
+  in
+  try
+    product [] choices;
+    None
+  with Found t -> Some t
 
-let check spec =
-  {
-    spec_name = Spec.name spec;
-    op_reports = List.map (check_op spec) (Spec.observers spec);
-    overlaps = axiom_overlaps spec;
-  }
-
-let is_complete report =
-  List.for_all
-    (fun r ->
-      r.unconstrained || List.for_all (fun c -> c.covered_by <> []) r.cases)
-    report.op_reports
-
-let missing report =
-  List.concat_map
-    (fun r ->
-      if r.unconstrained then []
+let op_holes spec op =
+  let axioms = Spec.axioms_for op spec in
+  let rows =
+    List.filter (fun ax -> Axiom.is_executable ax && admissible spec ax) axioms
+  in
+  let linear, nonlinear = List.partition Axiom.is_left_linear rows in
+  let m =
+    Pattern_matrix.create spec ~sorts:(Op.args op)
+      ~rows:(List.map lhs_args linear)
+  in
+  let universe = lazy (Enum.universe spec) in
+  List.map
+    (fun args ->
+      let pattern = rename_apart (Term.app op args) in
+      let hole =
+        {
+          op;
+          pattern;
+          witness = Pattern_matrix.instantiate_wildcards spec pattern;
+          decided = nonlinear = [];
+        }
+      in
+      if nonlinear = [] then hole
       else
-        List.filter_map
-          (fun c -> if c.covered_by = [] then Some c.pattern else None)
-          r.cases)
-    report.op_reports
+        (* the excluded non-left-linear rows may cover the pattern; decide
+           by ground enumeration over a small universe *)
+        match
+          ground_witness (Lazy.force universe) op ~within:pattern
+            (List.map Axiom.lhs rows) ~size:4
+        with
+        | Some w -> { op; pattern = w; witness = w; decided = true }
+        | None -> hole)
+    (Pattern_matrix.holes m)
 
-let overlapping report =
-  report.overlaps
-  @ List.concat_map
-      (fun r ->
-        List.filter_map
-          (fun c ->
-            if List.length c.covered_by > 1 then Some (c.pattern, c.covered_by)
-            else None)
-          r.cases)
-      report.op_reports
+(* a parameter operation (no axioms, no constructor-bearing argument) has
+   nothing to be defined by cases on *)
+let parameter_op spec op =
+  Spec.axioms_for op spec = []
+  && not (List.exists (fun s -> Spec.has_constructors s spec) (Op.args op))
 
-let pp_case ppf c =
-  match c.covered_by with
-  | [] -> Fmt.pf ppf "@[<h>%a : MISSING@]" Term.pp c.pattern
-  | [ a ] -> Fmt.pf ppf "@[<h>%a : covered by %s@]" Term.pp c.pattern a
-  | several ->
-    Fmt.pf ppf "@[<h>%a : covered by %a (overlap)@]" Term.pp c.pattern
-      Fmt.(list ~sep:comma string)
-      several
-
-let pp_op_report ppf r =
-  if r.unconstrained then
-    Fmt.pf ppf "@[<v 2>%a: unconstrained (parameter operation)@]" Op.pp r.op
-  else
-    Fmt.pf ppf "@[<v 2>%a:@,%a@]" Op.pp r.op
-      Fmt.(list ~sep:cut pp_case)
-      r.cases
-
-let pp_report ppf report =
-  let verdict = if is_complete report then "sufficiently complete" else "NOT sufficiently complete" in
-  Fmt.pf ppf "@[<v>spec %s is %s@,%a@]" report.spec_name verdict
-    Fmt.(list ~sep:cut pp_op_report)
-    report.op_reports;
-  match report.overlaps with
-  | [] -> ()
-  | overlaps ->
-    let pp_overlap ppf (t, labels) =
-      Fmt.pf ppf "@[<h>%a defined by both %a@]" Term.pp t
-        Fmt.(list ~sep:(any " and ") string)
-        labels
-    in
-    Fmt.pf ppf "@,@[<v 2>WARNING: overlapping axioms:@,%a@]"
-      Fmt.(list ~sep:cut pp_overlap)
-      overlaps
+let holes spec =
+  List.concat_map
+    (fun op -> if parameter_op spec op then [] else op_holes spec op)
+    (Spec.observers spec)

@@ -1,62 +1,39 @@
-(** Sufficient-completeness checking.
+(** Sufficient completeness, decided by pattern matrix.
 
     Guttag's central methodological device (section 3; the technical notion
     is developed in his thesis, cited as [8, 9]): a specification is
     {e sufficiently complete} when the axioms determine the value of every
-    observer applied to every value of the type — equivalently, when every
-    ground term of an "old" sort reduces to a term without the new type's
-    operations. Incompleteness in practice means an overlooked case, most
-    often a boundary condition such as [REMOVE(NEW)].
+    observer applied to every value of the type — read initially (Preston),
+    when every ground observer term reduces to a constructor term.
+    Incompleteness in practice means an overlooked case, most often a
+    boundary condition such as [REMOVE(NEW)].
 
-    The checker performs a constructor case analysis: for each
-    non-constructor operation it starts from the fully general application
-    [f(x1, ..., xn)] and repeatedly splits variables into constructor cases
-    at positions where some axiom discriminates, classifying each resulting
-    pattern as covered (some axiom's left-hand side subsumes it) or missing.
-    The analysis terminates because splitting is bounded by the constructor
-    depth of the axioms' left-hand sides. *)
+    Each observer's defining left-hand sides are read as a
+    {!Pattern_matrix} over its argument sorts. A row is an executable
+    axiom whose arguments are constructor contexts and whose left-hand
+    side is left-linear; anything else contributes nothing to coverage.
+    Every vector the matrix leaves uncovered is one {!hole}. This hole list
+    is the only answer to the question: [adtc check], the [check] and
+    [skeletons] verbs, the prompts of {!Heuristics} (ADT001) and ADT020
+    all read it. *)
 
-type case = {
-  pattern : Term.t;  (** The analysed left-hand-side shape. *)
-  covered_by : string list;
-      (** Names (or rendered equations when unnamed) of the axioms that
-          subsume the pattern; empty means the case is missing. *)
-}
-
-type op_report = {
+type hole = {
   op : Op.t;
-  cases : case list;  (** Leaf cases of the analysis, in split order. *)
-  unconstrained : bool;
-      (** True when the operation has no axioms and no argument position
-          can be split (a parameter operation such as [SAME?] on an
-          abstract [Identifier]); such operations are not counted as
-          incomplete. *)
+  pattern : Term.t;
+      (** The uncovered left-hand side: a constructor context with
+          variables renamed apart, such as [REMOVE(ADD(queue, item))] —
+          or, for a decided hole of an operation with non-left-linear
+          axioms, the ground counterexample. *)
+  witness : Term.t;
+      (** [pattern] with {!Pattern_matrix.instantiate_wildcards} applied:
+          ground except at parameter-sort positions, e.g. [FRONT(NEW)]. *)
+  decided : bool;
+      (** [false] when the operation's non-left-linear axioms might cover
+          the pattern and ground enumeration (up to size 4) found no
+          instance they miss. *)
 }
 
-type report = {
-  spec_name : string;
-  op_reports : op_report list;
-  overlaps : (Term.t * string list) list;
-      (** Common instances of same-operation axiom pairs whose left-hand
-          sides unify (reported with the two axiom labels). *)
-}
-
-val check : Spec.t -> report
-(** Analyses every observer of the specification. *)
-
-val check_op : Spec.t -> Op.t -> op_report
-
-val is_complete : report -> bool
-(** No missing case in any operation report. *)
-
-val missing : report -> Term.t list
-(** All missing left-hand-side patterns. *)
-
-val overlapping : report -> (Term.t * string list) list
-(** Consistency hazards the checker surfaces alongside completeness:
-    unifiable same-operation axiom pairs (from [report.overlaps]) and case
-    patterns subsumed by more than one axiom. Settled definitively by
-    {!Consistency}'s critical pairs. *)
-
-val pp_report : report Fmt.t
-val pp_op_report : op_report Fmt.t
+val holes : Spec.t -> hole list
+(** Every hole of every observer, in observer order. An operation with no
+    axioms and no constructor-bearing argument is a parameter operation
+    (such as [SAME?] on an abstract [Identifier]) and is exempt. *)

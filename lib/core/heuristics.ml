@@ -29,49 +29,44 @@ let classify spec pattern =
      boundary condition — only constant-constructor cases like FRONT(NEW) *)
   if !has_ctor && constant_ctors_only then Boundary else General
 
-let first_split_position spec op =
-  let rec find i = function
-    | [] -> None
-    | sort :: rest ->
-      if Spec.has_constructors sort spec then Some i else find (i + 1) rest
-  in
-  find 0 (Op.args op)
-
-let skeletons spec op =
-  let report = Completeness.check_op spec op in
-  let from_analysis = List.map (fun c -> c.Completeness.pattern) report.cases in
-  let all_var_app t =
-    match Term.view t with
-    | Term.App (_, args) ->
-      List.for_all
-        (fun a -> match Term.view a with Term.Var _ -> true | _ -> false)
-        args
-    | _ -> false
-  in
-  match from_analysis with
-  | [ only ] when all_var_app only -> (
-    (* no axiom discriminates yet: propose one split of the first
-       constructor-bearing argument *)
-    match first_split_position spec op with
-    | None -> [ only ]
-    | Some i ->
-      let sort = List.nth (Op.args op) i in
-      let avoid = Term.vars only in
-      List.map
+(* a hole that is the operation applied to variables alone means no
+   axiom discriminates yet: prompt for one split of the first
+   constructor-bearing argument, the cases a complete axiomatisation
+   must cover *)
+let split spec pattern =
+  match Term.view pattern with
+  | Term.App (_, args)
+    when List.for_all
+           (fun a -> match Term.view a with Term.Var _ -> true | _ -> false)
+           args -> (
+    let rec first i = function
+      | [] -> None
+      | a :: rest ->
+        let sort = Term.sort_of a in
+        if Spec.has_constructors sort spec then Some (i, sort)
+        else first (i + 1) rest
+    in
+    match first 0 args with
+    | None -> [ pattern ]
+    | Some (i, sort) ->
+      (* the replaced variable's name is free for the new arguments *)
+      let avoid =
+        List.concat (List.filteri (fun j _ -> j <> i) (List.map Term.vars args))
+      in
+      List.filter_map
         (fun ctor ->
           let taken = ref avoid in
           let fresh s =
-            let base = String.lowercase_ascii (Sort.name s) in
-            let name = Term.fresh_wrt ~avoid:!taken base s in
+            let name =
+              Term.fresh_wrt ~avoid:!taken (String.lowercase_ascii (Sort.name s)) s
+            in
             taken := (name, s) :: !taken;
             Term.var name s
           in
-          let expansion = Term.app ctor (List.map fresh (Op.args ctor)) in
-          match Term.replace_at only [ i ] expansion with
-          | Some t -> t
-          | None -> only)
+          Term.replace_at pattern [ i ]
+            (Term.app ctor (List.map fresh (Op.args ctor))))
         (Spec.constructors_of_sort sort spec))
-  | cases -> cases
+  | _ -> [ pattern ]
 
 let forced_rhs spec pattern =
   (* When the result sort has exactly one constant constructor and no other
@@ -91,28 +86,25 @@ let question op pattern kind =
     flavour
   ^ Fmt.str " [result sort %s]" (Sort.name (Op.result op))
 
-let prompts spec =
-  let report = Completeness.check spec in
+let prompts ?holes spec =
+  let holes =
+    match holes with Some h -> h | None -> Completeness.holes spec
+  in
   let all =
     List.concat_map
-      (fun (r : Completeness.op_report) ->
-        if r.unconstrained then []
-        else
-          List.filter_map
-            (fun (c : Completeness.case) ->
-              if c.covered_by <> [] then None
-              else
-                let kind = classify spec c.pattern in
-                Some
-                  {
-                    op = r.op;
-                    missing_lhs = c.pattern;
-                    kind;
-                    question = question r.op c.pattern kind;
-                    suggested_rhs = forced_rhs spec c.pattern;
-                  })
-            r.cases)
-      report.op_reports
+      (fun (h : Completeness.hole) ->
+        List.map
+          (fun lhs ->
+            let kind = classify spec lhs in
+            {
+              op = h.op;
+              missing_lhs = lhs;
+              kind;
+              question = question h.op lhs kind;
+              suggested_rhs = forced_rhs spec lhs;
+            })
+          (split spec h.pattern))
+      holes
   in
   let boundary, general =
     List.partition (fun p -> p.kind = Boundary) all

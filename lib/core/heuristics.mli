@@ -4,15 +4,15 @@
     initial presentation of an axiomatic specification" and "a system to
     mechanically verify the sufficient-completeness" that would "prompt the
     user to supply the additional information" needed. This module is that
-    system's front half:
+    system's front half, a view of {!Completeness.holes}:
 
-    - {!skeletons} computes the left-hand sides a complete specification of
-      an operation must cover — each observer applied to each constructor
-      pattern — before any axiom is written;
-    - {!prompts} diffs the skeleton set against the axioms actually present
-      and renders the questions the original system would have asked,
-      flagging boundary conditions (the cases "particularly likely to be
-      overlooked");
+    - {!prompts} renders each hole as the question the original system
+      would have asked, flagging boundary conditions (the cases
+      "particularly likely to be overlooked"). A hole that is the
+      operation applied to variables alone — nothing discriminates yet —
+      is split one level on its first constructor-bearing argument, so an
+      unaxiomatised [FRONT] prompts for [FRONT(NEW)] and
+      [FRONT(ADD(queue, item))];
     - {!stub_axioms} materialises the missing cases as [... = error] stubs
       so a specification can be made executable and refined interactively. *)
 
@@ -32,22 +32,17 @@ type prompt = {
           usually [None]. *)
 }
 
-val skeletons : Spec.t -> Op.t -> Term.t list
-(** The constructor case patterns a sufficiently complete axiomatisation of
-    the operation must cover (one split of every constructor-bearing
-    argument position that the existing axioms, if any, discriminate on; for
-    an operation with no axioms yet, one split of the first
-    constructor-bearing argument). *)
-
-val prompts : Spec.t -> prompt list
-(** Prompts for every missing case of every observer, boundary cases
-    first. *)
+val prompts : ?holes:Completeness.hole list -> Spec.t -> prompt list
+(** Prompts for every hole, boundary cases first. [holes] defaults to
+    {!Completeness.holes} of the specification; a caller that already has
+    them passes them in. *)
 
 val stub_axioms : ?prefix:string -> Spec.t -> Axiom.t list
 (** One [lhs = error] axiom per missing case, named [prefix]-[n]. *)
 
 val complete_with_stubs : Spec.t -> Spec.t
-(** The specification extended with {!stub_axioms}; sufficiently complete
-    by construction. *)
+(** The specification extended with {!stub_axioms}. Every stub is
+    left-linear, so a specification whose axioms are left-linear comes out
+    sufficiently complete. *)
 
 val pp_prompt : prompt Fmt.t

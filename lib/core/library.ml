@@ -18,8 +18,3 @@ let load_source t source =
   match Parser.parse_specs ~env:(to_env t) source with
   | Error _ as e -> e
   | Ok specs -> Ok (add_all specs t)
-
-let check_all t =
-  List.map
-    (fun spec -> (Spec.name spec, Completeness.check spec, Consistency.check spec))
-    (specs t)

@@ -32,8 +32,3 @@ val load_source : t -> string -> (t, Parser.error) result
 (** Parses every specification of the input (resolving [uses] against the
     library and against earlier specifications of the same input) and
     registers them all. *)
-
-val check_all :
-  t -> (string * Completeness.report * Consistency.report) list
-(** Completeness and consistency reports for every registered
-    specification, in registration order. *)

@@ -11,9 +11,6 @@ let create spec ~sorts ~rows =
     rows;
   { spec; sorts; rows }
 
-let rows m = m.rows
-let sorts m = m.sorts
-
 (* the head of a pattern, when it is a constructor application of the
    matrix's specification; anything else (wildcard, observer application,
    error, if-then-else) answers None *)
@@ -64,87 +61,33 @@ let first_column_heads spec rows =
       | p :: _ -> Option.map fst (ctor_head spec p))
     rows
 
-(* the column's constructors all appear as heads of its rows — the
-   "complete signature" test. A sort with no declared constructors (a
-   parameter sort) is never complete: it behaves as an infinite
-   signature. *)
-let heads_complete spec s rows =
-  match Spec.constructors_of_sort s spec with
-  | [] -> None
-  | ctors ->
-    let heads = first_column_heads spec rows in
-    if List.for_all (fun c -> List.exists (Op.equal c) heads) ctors then
-      Some ctors
-    else None
-
-(* U(P, q): Maranget's usefulness recursion. Patterns that are neither
-   wildcards nor constructor applications are treated as wildcards on the
-   query side (over-approximation, documented in the interface). *)
-let rec useful_rec spec srts rws q =
-  match (srts, q) with
-  | [], [] -> rws = []
-  | [], _ | _, [] -> invalid_arg "Pattern_matrix.useful: width mismatch"
-  | s :: srts', q1 :: q' -> (
-    match ctor_head spec q1 with
-    | Some (c, args) ->
-      useful_rec spec
-        (Op.args c @ srts')
-        (specialize spec c rws)
-        (args @ q')
-    | None -> (
-      match heads_complete spec s rws with
-      | Some ctors ->
-        List.exists
-          (fun c ->
-            useful_rec spec
-              (Op.args c @ srts')
-              (specialize spec c rws)
-              (wilds c @ q'))
-          ctors
-      | None -> useful_rec spec srts' (default rws) q'))
-
-let useful m q =
-  if List.length q <> List.length m.sorts then
-    invalid_arg "Pattern_matrix.useful: width mismatch";
-  useful_rec m.spec m.sorts m.rows q
-
-let rec first_some f = function
-  | [] -> None
-  | x :: rest -> ( match f x with Some _ as r -> r | None -> first_some f rest)
-
-(* the witness-producing variant of U(P, wildcards): rebuild the uncovered
-   vector on the way out of the recursion. Constrained columns carry the
-   constructor the recursion descended through (or the one missing from
-   the row heads); unconstrained columns come back as wildcards. *)
-let rec witness_rec spec srts rws =
+(* every uncovered vector, in constructor declaration order (Maranget's
+   usefulness recursion for the all-wildcard query, listing instead of
+   stopping at the first witness). A column whose rows carry some
+   constructor heads splits on each constructor of its sort: an absent one
+   is emitted over the default matrix, a present one recursed into. A
+   column with no constructor heads stays a wildcard. *)
+let rec holes_rec spec srts rws =
   match srts with
-  | [] -> if rws = [] then Some [] else None
+  | [] -> if rws = [] then [ [] ] else []
   | s :: srts' -> (
-    match heads_complete spec s rws with
-    | Some ctors ->
-      first_some
+    let prefix head = List.map (fun w -> head :: w) in
+    match first_column_heads spec rws with
+    | [] -> prefix (wild s) (holes_rec spec srts' (default rws))
+    | heads ->
+      let absent = lazy (holes_rec spec srts' (default rws)) in
+      List.concat_map
         (fun c ->
-          match witness_rec spec (Op.args c @ srts') (specialize spec c rws) with
-          | None -> None
-          | Some w ->
-            let args, rest = take (Op.arity c) w in
-            Some (Term.app c args :: rest))
-        ctors
-    | None -> (
-      match witness_rec spec srts' (default rws) with
-      | None -> None
-      | Some w ->
-        let heads = first_column_heads spec rws in
-        let head =
-          match
-            List.filter
-              (fun c -> not (List.exists (Op.equal c) heads))
-              (Spec.constructors_of_sort s spec)
-          with
-          | c :: _ -> Term.app c (wilds c)
-          | [] -> wild s
-        in
-        Some (head :: w)))
+          if List.exists (Op.equal c) heads then
+            List.map
+              (fun w ->
+                let args, rest = take (Op.arity c) w in
+                Term.app c args :: rest)
+              (holes_rec spec (Op.args c @ srts') (specialize spec c rws))
+          else prefix (Term.app c (wilds c)) (Lazy.force absent))
+        (Spec.constructors_of_sort s spec))
+
+let holes m = holes_rec m.spec m.sorts m.rows
 
 let instantiate_wildcards spec t =
   (* prefer a constant constructor so witnesses stay small; bound the
@@ -176,8 +119,8 @@ let instantiate_wildcards spec t =
     t
 
 let uncovered m =
-  match witness_rec m.spec m.sorts m.rows with
-  | None -> None
-  | Some w -> Some (List.map (fun t -> instantiate_wildcards m.spec t) w)
+  match holes m with
+  | [] -> None
+  | w :: _ -> Some (List.map (instantiate_wildcards m.spec) w)
 
-let exhaustive m = Option.is_none (witness_rec m.spec m.sorts m.rows)
+let exhaustive m = holes m = []

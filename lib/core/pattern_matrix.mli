@@ -1,32 +1,26 @@
-(** Maranget-style pattern matrices: usefulness and exhaustiveness over
-    constructor patterns.
+(** Maranget-style pattern matrices: exhaustiveness over constructor
+    patterns, with every uncovered vector listed.
 
     A {e pattern} here is a term whose applications are constructor
     applications and whose variables are wildcards; a {e row} is one
-    pattern per column. The two classic questions over a matrix [P]:
+    pattern per column. The matrix [P] is {e exhaustive} when every vector
+    of ground constructor terms over the column sorts matches some row.
+    The recursion on the first column specializes the matrix by each
+    constructor the column's sort declares, or drops to the default matrix
+    where the column's head constructors are absent (Maranget, {e Warnings
+    for pattern matching}, JFP 2007); here it lists every vector no row
+    matches rather than stopping at the first.
 
-    - {e usefulness} — is there a vector of ground constructor terms that
-      matches a query row [q] but no row of [P]? ("would adding [q] below
-      [P] ever fire?")
-    - {e exhaustiveness} — is the all-wildcard query useless, i.e. does
-      every vector of ground constructor terms match some row?
-
-    Both reduce to the same recursion on the first column: specialize the
-    matrix by each constructor the column's sort declares, or drop to the
-    default matrix when the column's head constructors do not span the
-    signature (Maranget, {e Warnings for pattern matching}, JFP 2007).
-
-    The sufficient-completeness verifier (ADT020 in [lib/analysis]) asks
-    exhaustiveness of each observer's defining left-hand sides and reports
-    the witness; the ROADMAP's decision-tree rule compiler asks usefulness
-    to prune unreachable rules. Both share this module.
+    The sufficient-completeness decider ({!Completeness}) reads each
+    observer's defining left-hand sides as a matrix over the observer's
+    argument sorts; its hole list is this module's uncovered vectors.
 
     Caveats, enforced by construction rather than checks:
 
     - Rows must be {e left-linear}: a repeated variable is treated as a
       plain wildcard, which over-approximates what the row matches.
-      Callers that admit non-linear rows must compensate (the verifier
-      excludes them and re-checks witnesses by ground enumeration).
+      Callers that admit non-linear rows must compensate ({!Completeness}
+      excludes them and re-checks its holes by ground enumeration).
     - Patterns whose head is not a constructor of the matrix's
       specification — an observer application, [error], [if-then-else] —
       never match a ground constructor vector and simply never specialize:
@@ -42,21 +36,20 @@ val create : Spec.t -> sorts:Sort.t list -> rows:Term.t list list -> t
 (** Raises [Invalid_argument] when a row's width differs from the number
     of column sorts. *)
 
-val rows : t -> Term.t list list
-val sorts : t -> Sort.t list
-
-val useful : t -> Term.t list -> bool
-(** [useful m q] — some ground constructor instance of [q] (wildcards
-    free) is matched by no row of [m]. Raises [Invalid_argument] on a
-    width mismatch. *)
+val holes : t -> Term.t list list
+(** Every vector no row matches, in constructor declaration order, as
+    patterns: a column whose rows carry some constructor heads splits on
+    each constructor of its sort (an absent one with wildcard arguments);
+    a column with no constructor heads stays a wildcard. Every wildcard of
+    a sort carries the same name (the lowercased sort name), so a vector
+    is not left-linear in general. *)
 
 val exhaustive : t -> bool
-(** Every vector of ground constructor terms over the column sorts matches
-    some row: [not (useful m all-wildcards)]. *)
+(** [holes] is empty. *)
 
 val uncovered : t -> Term.t list option
-(** [None] when the matrix is exhaustive; otherwise a witness vector no
-    row matches. Constrained positions carry the missing constructor;
+(** [None] when the matrix is exhaustive; otherwise the first of {!holes},
+    instantiated. Constrained positions carry the missing constructor;
     unconstrained positions are instantiated through
     {!instantiate_wildcards} (first constructor of the sort, recursively,
     or a fresh variable for parameter sorts), so the witness is a concrete

@@ -61,24 +61,29 @@ let do_normalize ctx session entry term_src req_fuel poll =
       ok "normalize steps=%d %s" steps
         (Protocol.sanitize (Fmt.str "%a" Interp.pp_value value)))
 
+(* the check record kind carries the analysis pass version, as the lint
+   kind below does: a verdict persisted by an older completeness decider
+   is never replayed *)
+let check_kind = Fmt.str "check/p%d" Analysis.Lint.pass_version
+
 let do_check ctx session entry =
   Obs.Trace.with_span ctx.trace "rewrite" @@ fun () ->
   let spec = Session.entry_spec entry in
   let name = Spec.name spec in
-  match Session.persist_meta_find entry ~kind:"check" ~key:name with
+  match Session.persist_meta_find entry ~kind:check_kind ~key:name with
   | Some payload -> Protocol.Ok_response payload
   | None ->
-    let comp = Completeness.check spec in
+    let holes = Completeness.holes spec in
     let cons = Consistency.check spec in
     let payload =
       Fmt.str "check %s complete=%b consistent=%b missing=%d critical_pairs=%d"
-        name
-        (Completeness.is_complete comp)
+        name (holes = [])
         (Consistency.is_consistent spec cons)
-        (List.length (Completeness.missing comp))
+        (List.length (Heuristics.prompts ~holes spec))
         (List.length cons.Consistency.pairs)
     in
-    Session.persist_meta_record session entry ~kind:"check" ~key:name payload;
+    Session.persist_meta_record session entry ~kind:check_kind ~key:name
+      payload;
     Protocol.Ok_response payload
 
 let do_skeletons ctx entry =

@@ -86,15 +86,12 @@ let send_line fd line =
   in
   go 0
 
+let busy message =
+  Protocol.render (Protocol.Error_response { code = "busy"; message })
+
 let busy_line max_clients =
-  Protocol.render
-    (Protocol.Error_response
-       {
-         code = "busy";
-         message =
-           Fmt.str "server is at capacity (max-clients=%d); retry later"
-             max_clients;
-       })
+  busy
+    (Fmt.str "server is at capacity (max-clients=%d); retry later" max_clients)
 
 (* One client, one worker thread (inside some accept domain). A disconnect —
    mid-response included — must drop this client only: SIGPIPE is ignored
@@ -136,11 +133,33 @@ let serve_socket ?(max_clients = default_max_clients) ?(domains = 1)
         Sys.set_signal signal (Sys.Signal_handle (fun _ -> stop := true)))
       [ Sys.sigint; Sys.sigterm ];
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let cleanup () =
-    (try Unix.close sock with Unix.Unix_error _ -> ());
-    try Unix.unlink path with Unix.Unix_error _ -> ()
+  (* Closing a listener resets every connection still queued on it. So
+     unlink the path first (a client connecting from then on gets ENOENT),
+     shut the listener down (one that already found the path gets
+     ECONNREFUSED), answer whatever is already queued busy, and only then
+     close. *)
+  let listening = ref true in
+  let close_listener () =
+    if !listening then begin
+      listening := false;
+      (try Unix.unlink path with Unix.Unix_error _ -> ());
+      (try Unix.shutdown sock Unix.SHUTDOWN_RECEIVE
+       with Unix.Unix_error _ -> ());
+      let rec refuse_backlog () =
+        match Unix.accept sock with
+        | client, _ ->
+          send_line client (busy "server is shutting down; retry later");
+          (try Unix.close client with Unix.Unix_error _ -> ());
+          refuse_backlog ()
+        | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) ->
+          refuse_backlog ()
+        | exception Unix.Unix_error _ -> ()
+      in
+      refuse_backlog ();
+      try Unix.close sock with Unix.Unix_error _ -> ()
+    end
   in
-  Fun.protect ~finally:cleanup @@ fun () ->
+  Fun.protect ~finally:close_listener @@ fun () ->
   Unix.bind sock (Unix.ADDR_UNIX path);
   Unix.listen sock (max 8 max_clients);
   (* every domain of the pool accepts on this one fd; non-blocking, so a
@@ -162,6 +181,7 @@ let serve_socket ?(max_clients = default_max_clients) ?(domains = 1)
      keeps in sync — cross-domain visibility of a non-atomic ref is not
      guaranteed by the memory model *)
   let stopping = Atomic.make false in
+  let accepting = Atomic.make domains in
   let worker reg id client =
     (* retire strictly before close: drain shuts fds down through the
        registry, and a retired-late fd number could already be recycled
@@ -174,6 +194,7 @@ let serve_socket ?(max_clients = default_max_clients) ?(domains = 1)
       (fun () -> handle_client session client)
   in
   let accept_loop () =
+    Fun.protect ~finally:(fun () -> Atomic.decr accepting) @@ fun () ->
     while not (Atomic.get stopping) do
       (* wake at least every 100ms to observe shutdown *)
       match Unix.select [ sock ] [] [] 0.1 with
@@ -214,6 +235,12 @@ let serve_socket ?(max_clients = default_max_clients) ?(domains = 1)
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done;
   Atomic.set stopping true;
+  (* close the listener as soon as no domain accepts on it, not after the
+     drain, which may take as long as the slowest in-flight request *)
+  while Atomic.get accepting > 0 do
+    Unix.sleepf 0.005
+  done;
+  close_listener ();
   Fmt.epr "adtc engine: shutting down, draining %d client(s)@."
     (Mutex.protect reg.lock (fun () -> Hashtbl.length reg.active));
   (* drain before join: a domain does not terminate until its worker

@@ -54,7 +54,9 @@ val serve_socket :
 
     [handle_signals] (default true) installs SIGINT/SIGTERM handlers
     that set [stop]; tests pass [false] and flip [stop] themselves. Once
-    [stop] is observed (within ~100ms), the pool stops accepting, idle
-    connections are forced to end-of-file, every in-flight request
-    finishes and is answered, and the domains are joined before the
-    socket is removed — graceful drain, not abort. *)
+    [stop] is observed (within ~100ms), the pool stops accepting and the
+    socket is removed at once: a later client is refused, and one the
+    kernel had already queued is answered [error busy] (shutting down)
+    rather than reset. Then idle connections are forced to end-of-file,
+    every in-flight request finishes and is answered, and the domains are
+    joined — graceful drain, not abort. *)

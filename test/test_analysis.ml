@@ -513,10 +513,20 @@ let test_prompts_boundary_classification_on_faulty () =
   | other -> Alcotest.failf "expected 2 prompts, got %d" (List.length other)
 
 let test_prompts_general_classification_on_faulty () =
-  match Heuristics.prompts (parse nonlinear_src) with
+  (* SEED is a hole with no constructor in it: a general case. On Sym the
+     non-left-linear [eq] leaves the ground pair SAME?(A, B), a boundary
+     case. *)
+  (match Heuristics.prompts (parse free_rhs_src) with
   | [ p ] ->
     Alcotest.(check bool) "general kind" true
       (p.Heuristics.kind = Heuristics.General)
+  | other -> Alcotest.failf "expected 1 prompt, got %d" (List.length other));
+  match Heuristics.prompts (parse nonlinear_src) with
+  | [ p ] ->
+    Alcotest.(check string) "the ground counterexample" "SAME?(A, B)"
+      (Term.to_string p.Heuristics.missing_lhs);
+    Alcotest.(check bool) "boundary kind" true
+      (p.Heuristics.kind = Heuristics.Boundary)
   | other -> Alcotest.failf "expected 1 prompt, got %d" (List.length other)
 
 let test_stub_axioms_on_faulty () =

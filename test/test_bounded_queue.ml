@@ -7,7 +7,7 @@ let item = Builtins.item
 
 let test_spec_checks () =
   Alcotest.(check bool) "complete" true
-    (Completeness.is_complete (Completeness.check Bounded_queue_spec.spec));
+    (Completeness.holes Bounded_queue_spec.spec = []);
   let report = Consistency.check Bounded_queue_spec.spec in
   Alcotest.(check bool) "consistent" true
     (Consistency.is_consistent Bounded_queue_spec.spec report)

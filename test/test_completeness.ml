@@ -2,20 +2,22 @@ open Adt
 open Helpers
 open Adt_specs
 
+let missing_of spec =
+  List.map (fun h -> h.Completeness.pattern) (Completeness.holes spec)
+
 let test_nat_complete () =
-  let report = Completeness.check nat_spec in
-  Alcotest.(check bool) "complete" true (Completeness.is_complete report);
   Alcotest.(check (list term_testable)) "nothing missing" []
-    (Completeness.missing report)
+    (missing_of nat_spec)
 
 let test_paper_specs_complete () =
   List.iter
     (fun (name, spec) ->
-      let report = Completeness.check spec in
-      if not (Completeness.is_complete report) then
+      match missing_of spec with
+      | [] -> ()
+      | missing ->
         Alcotest.failf "%s not sufficiently complete: %a" name
           Fmt.(list ~sep:comma Term.pp)
-          (Completeness.missing report))
+          missing)
     [
       ("Queue", Queue_spec.spec);
       ("BoundedQueue", Bounded_queue_spec.spec);
@@ -29,8 +31,6 @@ let test_paper_specs_complete () =
       ("Bool", Builtins.bool_spec);
       ("Nat", Builtins.nat_spec);
     ]
-
-let missing_of spec = Completeness.missing (Completeness.check spec)
 
 let test_detects_missing_boundary () =
   let broken = Spec.without_axiom "3" Queue_spec.spec in
@@ -53,13 +53,16 @@ let test_detects_missing_recursive_case () =
       other
 
 let test_detects_multiple_missing () =
-  (* with ALL of RETRIEVE's axioms gone, the checker expands the
-     constructor cases a complete axiomatisation must cover *)
+  (* with ALL of RETRIEVE's axioms gone, the one hole is the whole
+     operation, and the prompts expand the constructor cases a complete
+     axiomatisation must cover *)
   let broken =
     Spec.without_axiom "7"
       (Spec.without_axiom "8" (Spec.without_axiom "9" Symboltable_spec.spec))
   in
-  Alcotest.(check int) "three missing" 3 (List.length (missing_of broken));
+  Alcotest.(check int) "one hole" 1 (List.length (missing_of broken));
+  Alcotest.(check int) "three prompts" 3
+    (List.length (Heuristics.prompts broken));
   (* with two of them gone, the remaining axiom guides the split *)
   let broken2 = Spec.without_axiom "7" (Spec.without_axiom "8" Symboltable_spec.spec) in
   Alcotest.(check int) "two missing" 2 (List.length (missing_of broken2))
@@ -79,7 +82,7 @@ let test_second_argument_splitting () =
   in
   match missing_of spec with
   | [ t ] ->
-    Alcotest.(check string) "missing successor case" "guard(n1, s(n))"
+    Alcotest.(check string) "missing successor case" "guard(n, s(n1))"
       (Term.to_string t)
   | other ->
     Alcotest.failf "expected one missing case, got %a"
@@ -89,12 +92,12 @@ let test_second_argument_splitting () =
 let test_general_lhs_covers_everything () =
   (* REPLACE(stk, arr) = ... has a fully general left-hand side *)
   let stack = Stack_spec.default in
-  let report = Completeness.check_op stack.Stack_spec.spec
-      (Spec.op_exn stack.Stack_spec.spec "REPLACE")
-  in
-  Alcotest.(check int) "single covered case" 1 (List.length report.Completeness.cases);
-  Alcotest.(check bool) "covered" true
-    (List.for_all (fun c -> c.Completeness.covered_by <> []) report.Completeness.cases)
+  let replace = Spec.op_exn stack.Stack_spec.spec "REPLACE" in
+  Alcotest.(check int) "REPLACE has no hole" 0
+    (List.length
+       (List.filter
+          (fun h -> Op.equal h.Completeness.op replace)
+          (Completeness.holes stack.Stack_spec.spec)))
 
 let test_unconstrained_parameter_op () =
   (* an observer over a sort with no constructors and no axioms *)
@@ -105,27 +108,57 @@ let test_unconstrained_parameter_op () =
       (Signature.add_sort item Signature.empty)
   in
   let spec = Spec.v ~name:"P" ~signature:sg ~axioms:[] () in
-  let report = Completeness.check spec in
-  Alcotest.(check bool) "still complete" true (Completeness.is_complete report);
-  let op_report = List.hd report.Completeness.op_reports in
-  Alcotest.(check bool) "flagged unconstrained" true
-    op_report.Completeness.unconstrained
+  Alcotest.(check (list term_testable)) "exempt, so complete" []
+    (missing_of spec);
+  (* one axiom ends the exemption: its matrix is checked like any other,
+     and here its wildcard row covers the sort *)
+  let weight = Signature.find_op_exn "weight" sg in
+  let partial =
+    Spec.with_axioms
+      [
+        Axiom.v ~name:"w" ~lhs:(Term.app weight [ Term.var "i" item ])
+          ~rhs:Term.tt ();
+      ]
+      spec
+  in
+  Alcotest.(check (list term_testable)) "covered by a wildcard row" []
+    (missing_of partial)
 
 let test_overlap_detection () =
+  (* overlap is a consistency question, not a coverage one: the
+     duplicate definition leaves no hole and is reported as a critical
+     pair *)
   let extra = Axiom.v ~name:"dup" ~lhs:(isz (v "k")) ~rhs:Term.ff () in
   let spec = Spec.with_axioms [ extra ] nat_spec in
-  let report = Completeness.check spec in
+  Alcotest.(check (list term_testable)) "still complete" [] (missing_of spec);
   Alcotest.(check bool) "overlaps reported" true
-    (Completeness.overlapping report <> [])
+    ((Consistency.check spec).Consistency.pairs <> [])
 
-let test_report_rendering () =
-  let text = Fmt.str "%a" Completeness.pp_report (Completeness.check nat_spec) in
-  Alcotest.(check bool) "mentions verdict" true
-    (Astring_contains.contains text "sufficiently complete");
-  let broken = Spec.without_axiom "iz" nat_spec in
-  let text' = Fmt.str "%a" Completeness.pp_report (Completeness.check broken) in
-  Alcotest.(check bool) "mentions MISSING" true
-    (Astring_contains.contains text' "MISSING")
+let test_non_executable_axioms_do_not_cover () =
+  (* [seed]'s right-hand side has a variable its left-hand side does not
+     bind: the interpreter ignores the axiom, so SEED stays a hole *)
+  let counter = Sort.v "Counter" in
+  let zero = Op.v "ZERO" ~args:[] ~result:counter in
+  let inc = Op.v "INC" ~args:[ counter ] ~result:counter in
+  let seed = Op.v "SEED" ~args:[] ~result:counter in
+  let sg =
+    List.fold_left
+      (fun sg op -> Signature.add_op op sg)
+      (Signature.add_sort counter Signature.empty)
+      [ zero; inc; seed ]
+  in
+  let spec =
+    Spec.v ~name:"Counter" ~signature:sg ~constructors:[ "ZERO"; "INC" ]
+      ~axioms:
+        [
+          Axiom.v ~name:"seed" ~allow_free_rhs:true ~lhs:(Term.const seed)
+            ~rhs:(Term.app inc [ Term.var "c" counter ])
+            ();
+        ]
+      ()
+  in
+  Alcotest.(check (list string)) "SEED" [ "SEED" ]
+    (List.map Term.to_string (missing_of spec))
 
 let suite =
   [
@@ -139,5 +172,6 @@ let suite =
     case "parameter operations are unconstrained, not incomplete"
       test_unconstrained_parameter_op;
     case "overlapping axioms reported" test_overlap_detection;
-    case "report rendering" test_report_rendering;
+    case "non-executable axioms cover nothing"
+      test_non_executable_axioms_do_not_cover;
   ]

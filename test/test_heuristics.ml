@@ -67,7 +67,7 @@ let test_stub_axioms_complete_the_spec () =
   Alcotest.(check int) "one stub per hole" 2 (List.length stubs);
   let repaired = Heuristics.complete_with_stubs broken in
   Alcotest.(check bool) "now complete" true
-    (Completeness.is_complete (Completeness.check repaired));
+    (Completeness.holes repaired = []);
   (* the stubs say error, which is what the paper's axioms say here *)
   let interp = Interp.create repaired in
   let front_new = parse_term_exn repaired "FRONT(NEW)" in
@@ -77,24 +77,66 @@ let test_stub_axioms_complete_the_spec () =
     | _ -> false)
 
 let test_skeletons_for_fresh_op () =
-  (* an operation with no axioms yet: skeletons propose one split of the
-     first constructor-bearing argument *)
+  (* an operation with no axioms yet is one hole, and the prompts propose
+     one split of its first constructor-bearing argument *)
   let even_op = Op.v "even" ~args:[ nat ] ~result:Sort.bool in
   let sg = Signature.add_op even_op base_signature in
   let spec =
     Spec.v ~name:"N" ~signature:sg ~constructors:[ "z"; "s" ]
       ~axioms:nat_axioms ()
   in
-  let sk = Heuristics.skeletons spec even_op in
   Alcotest.(check (list string)) "even skeletons" [ "even(z)"; "even(s(n))" ]
-    (List.map Term.to_string sk);
-  (* with axioms present, skeletons mirror the coverage analysis *)
-  let sk' = Heuristics.skeletons spec isz_op in
-  Alcotest.(check int) "isz has two covered cases" 2 (List.length sk')
+    (List.map
+       (fun p -> Term.to_string p.Heuristics.missing_lhs)
+       (Heuristics.prompts spec))
 
 let test_skeletons_follow_existing_axioms () =
-  let sk = Heuristics.skeletons Queue_spec.spec (Spec.op_exn Queue_spec.spec "FRONT") in
-  Alcotest.(check int) "two cases" 2 (List.length sk)
+  (* with axioms present, the prompts follow their case analysis: FRONT
+     keeps its [ADD] case, so only the [NEW] case is asked for, and the
+     split stays within the existing axioms' constructor depth *)
+  let broken = Spec.without_axiom "3" Queue_spec.spec in
+  Alcotest.(check (list string)) "FRONT(NEW) only" [ "FRONT(NEW)" ]
+    (List.map
+       (fun p -> Term.to_string p.Heuristics.missing_lhs)
+       (Heuristics.prompts broken));
+  let recursive = Spec.without_axiom "4" Queue_spec.spec in
+  Alcotest.(check (list string)) "FRONT(ADD(queue, item)) only"
+    [ "FRONT(ADD(queue, item))" ]
+    (List.map
+       (fun p -> Term.to_string p.Heuristics.missing_lhs)
+       (Heuristics.prompts recursive))
+
+let test_stubs_are_left_linear () =
+  (* the matrix names every wildcard of a sort alike; the prompts rename
+     them apart, so BLEND's stub is not BLEND(light, light) *)
+  let light = Sort.v "Light" in
+  let red = Op.v "RED" ~args:[] ~result:light in
+  let green = Op.v "GREEN" ~args:[] ~result:light in
+  let blend = Op.v "BLEND" ~args:[ light; light ] ~result:light in
+  let sg =
+    List.fold_left
+      (fun sg op -> Signature.add_op op sg)
+      (Signature.add_sort light Signature.empty)
+      [ red; green; blend ]
+  in
+  let spec =
+    Spec.v ~name:"Light" ~signature:sg ~constructors:[ "RED"; "GREEN" ]
+      ~axioms:
+        [
+          Axiom.v ~name:"r"
+            ~lhs:(Term.app blend [ Term.const red; Term.var "l" light ])
+            ~rhs:(Term.const red) ();
+        ]
+      ()
+  in
+  let stubs = Heuristics.stub_axioms spec in
+  Alcotest.(check (list string)) "one coarse stub" [ "BLEND(GREEN, light)" ]
+    (List.map (fun ax -> Term.to_string (Axiom.lhs ax)) stubs);
+  Alcotest.(check (list string)) "renamed apart, then split"
+    [ "BLEND(RED, light1)"; "BLEND(GREEN, light1)" ]
+    (List.map
+       (fun ax -> Term.to_string (Axiom.lhs ax))
+       (Heuristics.stub_axioms (Spec.without_axiom "r" spec)))
 
 let suite =
   [
@@ -108,4 +150,5 @@ let suite =
     case "skeletons for an unaxiomatised operation" test_skeletons_for_fresh_op;
     case "skeletons follow existing case analysis"
       test_skeletons_follow_existing_axioms;
+    case "stubs are left-linear" test_stubs_are_left_linear;
   ]

@@ -72,24 +72,10 @@ let test_unresolved_uses_fails () =
       (Astring_contains.contains e.Parser.message "Item")
   | Ok _ -> Alcotest.fail "unresolved uses accepted"
 
-let test_check_all () =
-  let lib = load_exn Library.builtin base_source in
-  let lib = load_exn lib queue_source in
-  let reports = Library.check_all lib in
-  Alcotest.(check int) "one report per spec" 2 (List.length reports);
-  List.iter
-    (fun (name, comp, cons) ->
-      Alcotest.(check bool) (name ^ " complete") true
-        (Completeness.is_complete comp);
-      Alcotest.(check bool) (name ^ " confluent") true
-        (Consistency.locally_confluent cons))
-    reports
-
 let suite =
   [
     case "registration and lookup" test_registration;
     case "re-registration replaces" test_replacement;
     case "uses resolves across files" test_cross_file_uses;
     case "unresolved uses is an error" test_unresolved_uses_fails;
-    case "check_all covers every registered spec" test_check_all;
   ]

@@ -585,23 +585,20 @@ let test_proof_persists_warm () =
   | Some t -> Alcotest.(check bool) "miss counted" true (t.Session.misses > 0));
   Persist.Store.close store2
 
-let test_lint_pass_version_invalidates () =
+(* a verdict persisted by an older analysis pass set lives under another
+   kind; the current engine must re-analyse, not replay it *)
+let pass_version_invalidates ~spec ~stale_kind ~request ~stale ~fresh =
   with_dir @@ fun dir ->
-  let spec = Adt_specs.Queue_spec.spec in
+  let name = Spec.name spec in
   let digest = Spec_digest.spec spec in
-  (* a verdict persisted by the previous analysis pass set lives under its
-     own versioned kind; the current engine must re-analyse, not replay *)
-  let stale_kind = Fmt.str "lint/p%d" (Analysis.Lint.pass_version - 1) in
   let store1 = Persist.Store.open_ dir in
-  Persist.Store.append store1 ~digest
-    [ record stale_kind "Queue" "lint Queue findings=999" ];
+  Persist.Store.append store1 ~digest [ record stale_kind name stale ];
   Persist.Store.close store1;
   let store2 = Persist.Store.open_ dir in
   let session = Session.create ~store:store2 [ spec ] in
-  let r = reply session "lint Queue" in
-  Alcotest.(check bool) "stale verdict not served" false
-    (contains r "findings=999");
-  Alcotest.(check bool) "re-analysed clean" true (contains r "findings=0");
+  let r = reply session request in
+  Alcotest.(check bool) "stale verdict not served" false (contains r stale);
+  Alcotest.(check bool) "re-analysed" true (contains r fresh);
   (match Session.persist_totals session with
   | None -> Alcotest.fail "session has a store"
   | Some t ->
@@ -613,12 +610,43 @@ let test_lint_pass_version_invalidates () =
   (* the fresh verdict persisted under the current pass kind serves warm *)
   let store3 = Persist.Store.open_ dir in
   let warm = Session.create ~store:store3 [ spec ] in
-  Alcotest.(check string) "current kind serves warm" r
-    (reply warm "lint Queue");
+  Alcotest.(check string) "current kind serves warm" r (reply warm request);
   (match Session.persist_totals warm with
   | None -> Alcotest.fail "warm session has a store"
   | Some t -> Alcotest.(check int) "warm hit" 1 t.Session.hits);
   Persist.Store.close store3
+
+let test_lint_pass_version_invalidates () =
+  pass_version_invalidates ~spec:Adt_specs.Queue_spec.spec
+    ~stale_kind:(Fmt.str "lint/p%d" (Analysis.Lint.pass_version - 1))
+    ~request:"lint Queue" ~stale:"lint Queue findings=999"
+    ~fresh:"findings=0";
+  (* the check verb's verdict before it was versioned: the old decider
+     counted the non-executable [seed] as covering SEED *)
+  let counter =
+    match
+      Parser.parse_spec
+        {|spec Counter
+  sort Counter
+  ops
+    ZERO : -> Counter
+    INC : Counter -> Counter
+    SEED : -> Counter
+  constructors ZERO INC
+  vars
+    c : Counter
+  axioms
+    [seed] SEED = INC(c)
+end|}
+    with
+    | Ok spec -> spec
+    | Error e -> Alcotest.failf "parse: %a" Parser.pp_error e
+  in
+  pass_version_invalidates ~spec:counter ~stale_kind:"check"
+    ~request:"check Counter"
+    ~stale:"check Counter complete=true consistent=true missing=0 \
+            critical_pairs=0"
+    ~fresh:"complete=false"
 
 let suite =
   [

@@ -45,13 +45,20 @@ let test_matrix_uncovered_witness () =
   | Some [ w ] -> check_term "nested witness s(s(z))" (s (s z)) w
   | _ -> Alcotest.fail "z | s z leaves s(s(_)) uncovered"
 
-let test_matrix_usefulness () =
-  let m = nat_matrix [ [ z ] ] in
-  Alcotest.(check bool) "s-pattern useful after z row" true
-    (Pattern_matrix.useful m [ s (v "m") ]);
-  let full = nat_matrix [ [ z ]; [ s (v "m") ] ] in
-  Alcotest.(check bool) "nothing useful after a complete matrix" false
-    (Pattern_matrix.useful full [ v "q" ])
+let test_matrix_lists_every_hole () =
+  (* z alone leaves s(_); an absent constructor carries wildcard
+     arguments, and every wildcard of a sort shares the sort's name *)
+  Alcotest.(check (list (list string)))
+    "z leaves s(n)" [ [ "s(n)" ] ]
+    (List.map (List.map Term.to_string)
+       (Pattern_matrix.holes (nat_matrix [ [ z ] ])));
+  let pairs =
+    Pattern_matrix.create nat_spec ~sorts:[ nat; nat ] ~rows:[ [ z; z ] ]
+  in
+  Alcotest.(check (list (list string)))
+    "every uncovered vector, in declaration order"
+    [ [ "z"; "s(n)" ]; [ "s(n)"; "n" ] ]
+    (List.map (List.map Term.to_string) (Pattern_matrix.holes pairs))
 
 let test_matrix_parameter_sort () =
   (* a sort with no constructors has an infinite signature: only a
@@ -117,36 +124,35 @@ let test_search_bumps_beyond_seed () =
 (* {1 Completeness (ADT020)} *)
 
 let test_completeness_holes_decided () =
-  let r = Verify.completeness (leaky_spec ()) in
-  Alcotest.(check bool) "not sufficiently complete" false
-    (Verify.sufficiently_complete r);
+  let holes = Completeness.holes (leaky_spec ()) in
   Alcotest.(check (list string))
     "one hole per leaky observer" [ "POP"; "PEEK" ]
-    (List.map (fun h -> Op.name h.Verify.hole_op) r.Verify.holes);
+    (List.map (fun (h : Completeness.hole) -> Op.name h.op) holes);
   List.iter
-    (fun h -> Alcotest.(check bool) "decided" true h.Verify.decided)
-    r.Verify.holes
+    (fun (h : Completeness.hole) ->
+      Alcotest.(check bool) "decided" true h.decided)
+    holes
 
 let test_completeness_interior_hole () =
-  let r = Verify.completeness (blend_spec ()) in
-  match r.Verify.holes with
+  match Completeness.holes (blend_spec ()) with
   | [ h ] ->
     Alcotest.(check string)
       "witness is the missing pair" "BLEND(GREEN, GREEN)"
-      (Term.to_string h.Verify.witness)
+      (Term.to_string h.Completeness.witness)
   | other -> Alcotest.failf "expected 1 hole, got %d" (List.length other)
 
 let test_completeness_nonlinear_ground_fallback () =
   (* SAME?(s, s) is excluded from the matrix; the hole is confirmed by
-     ground enumeration, which finds the asymmetric pair *)
-  let r = Verify.completeness (sym_spec ()) in
-  match r.Verify.holes with
+     ground enumeration, which finds the asymmetric pair and makes it the
+     hole's pattern *)
+  match Completeness.holes (sym_spec ()) with
   | [ h ] ->
-    Alcotest.(check bool) "decided by ground enumeration" true h.Verify.decided;
-    Alcotest.(check bool) "witness is an asymmetric application" true
-      (let s = Term.to_string h.Verify.witness in
-       contains s "SAME?" && not (String.equal s "SAME?(A, A)")
-       && not (String.equal s "SAME?(B, B)"))
+    Alcotest.(check bool) "decided by ground enumeration" true
+      h.Completeness.decided;
+    Alcotest.(check string) "the first asymmetric application" "SAME?(A, B)"
+      (Term.to_string h.Completeness.pattern);
+    check_term "the witness is the pattern" h.Completeness.pattern
+      h.Completeness.witness
   | other -> Alcotest.failf "expected 1 hole, got %d" (List.length other)
 
 (* {1 The status lattice (ADT021/ADT022)} *)
@@ -305,11 +311,12 @@ let test_matrix_agrees_with_enumeration =
     QCheck2.Gen.(int_range 0 (List.length pool - 1))
     (fun i ->
       let spec, op = List.nth pool i in
-      let r = Verify.completeness spec in
       match
-        List.find_opt (fun h -> Op.equal h.Verify.hole_op op) r.Verify.holes
+        List.find_opt
+          (fun (h : Completeness.hole) -> Op.equal h.op op)
+          (Completeness.holes spec)
       with
-      | Some h when h.Verify.decided -> ground_uncovered spec op ~size:3
+      | Some h when h.Completeness.decided -> ground_uncovered spec op ~size:3
       | Some _ -> true (* undecided: the matrix makes no claim *)
       | None -> not (ground_uncovered spec op ~size:3))
 
@@ -335,7 +342,7 @@ let suite =
   [
     case "matrix: exhaustive" test_matrix_exhaustive;
     case "matrix: uncovered witness" test_matrix_uncovered_witness;
-    case "matrix: usefulness" test_matrix_usefulness;
+    case "matrix: every uncovered vector listed" test_matrix_lists_every_hole;
     case "matrix: parameter sorts are infinite" test_matrix_parameter_sort;
     case "matrix: ragged rows rejected" test_matrix_width_mismatch;
     case "search: orients the corpus" test_search_orients_corpus;
