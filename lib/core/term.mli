@@ -47,7 +47,9 @@ val id : t -> int
 (** Unique identifier of the interned term (positive, dense). *)
 
 val hash : t -> int
-(** Precomputed structural hash; deterministic across runs. *)
+(** Precomputed structural hash; deterministic across runs. Persistent
+    normal-form keys carry it, so changing it means bumping
+    [Persist.Store.format_version]. *)
 
 exception Ill_sorted of string
 (** Raised by the smart constructors and {!check} when an application's

@@ -1,5 +1,5 @@
 let magic = "ADTCACHE"
-let format_version = 2
+let format_version = 3
 
 type mode = Read_write | Read_only
 

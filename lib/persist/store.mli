@@ -3,11 +3,11 @@
     One store is a directory; one entry file per specification digest
     ({!Adt.Spec_digest.spec}), holding a flat list of [(kind, key,
     value)] string records — the store is deliberately dumb: the engine
-    decides that a record is a normal form keyed by a canonical term
-    rendering, a lint payload, or a testgen verdict. Being keyed by
-    content means an entry outlives the process (warm restarts) and is
-    never served for an edited specification (a different digest is a
-    different file).
+    decides that a record is a normal form keyed by a term's hash and
+    canonical rendering, a lint payload, or a testgen verdict. Being
+    keyed by content means an entry outlives the process (warm restarts)
+    and is never served for an edited specification (a different digest
+    is a different file).
 
     {b Crash safety.} An entry file is an append-only log: a header
     (magic, format version, the digest it claims to serve) followed by
@@ -43,7 +43,12 @@ type mode = Read_write | Read_only
 type record = { kind : string; key : string; value : string }
 
 val magic : string
+
 val format_version : int
+(** The version in every entry header; an entry of any other version is
+    a counted miss that the next {!append} replaces. The engine keys
+    normal-form records by [<Adt.Term.hash> <rendering>], so a change to
+    [Term.hash] must bump this number. *)
 
 val open_ : ?max_bytes:int -> string -> t
 (** Opens (creating if needed) the store directory. Raises [Failure]

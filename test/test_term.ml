@@ -232,6 +232,30 @@ let test_pp () =
   Alcotest.(check string) "ite" "if isz(x) then z else s(z)"
     (Term.to_string (Term.ite (isz (v "x")) z (s z)))
 
+(* nf store keys carry [Term.hash] (lib/engine/session.ml), so a change
+   of the hash function must come with a store format bump *)
+let test_hash_pinned () =
+  let parsed spec src =
+    match Parser.parse_term spec src with
+    | Ok t -> t
+    | Error e -> Alcotest.failf "%s: %a" src Parser.pp_error e
+  in
+  List.iter
+    (fun (t, pinned) ->
+      if Term.hash t <> pinned then
+        Alcotest.failf
+          "Term.hash %s = %d, pinned %d: nf store keys persist Term.hash: \
+           bump Persist.Store.format_version"
+          (Term.to_string t) (Term.hash t) pinned)
+    [
+      ( parsed Adt_specs.Queue_spec.spec "ADD(ADD(NEW, ITEM1), ITEM2)",
+        2245214429470545111 );
+      ( parsed Adt_specs.Symboltable_spec.spec
+          "ADD(ENTERBLOCK(INIT), ID_X, ATTRS1)",
+        3758322627758152507 );
+      (Term.err (Sort.v "Queue"), 996388383);
+    ]
+
 let suite =
   [
     case "sort_of on every form" test_sort_of;
@@ -254,4 +278,5 @@ let suite =
     case "multi-domain interning: shared pointers, unique ids"
       test_multi_domain_interning;
     case "printing" test_pp;
+    case "Term.hash is pinned (nf store keys)" test_hash_pinned;
   ]
