@@ -1,9 +1,9 @@
 (* adtc — command-line front end for the algebraic specification toolkit.
 
    Subcommands:
-     check       parse a .adt file, report sufficient-completeness,
-                 consistency and the verification verdict (completeness /
-                 termination / confluence)
+     check       parse a .adt file and print one verification verdict
+                 per specification (completeness / termination /
+                 confluence) with the findings behind it
      lint        run every ADTxxx lint rule; text, JSON-lines or SARIF
      testgen     run a spec's generated conformance suite against a
                  registered OCaml implementation (or the mutation corpus)
@@ -100,32 +100,25 @@ let check_cmd =
       List.fold_left
         (fun failures spec ->
           Fmt.pr "=== %s ===@." (Adt.Spec.name spec);
-          let cons = Adt.Consistency.check spec in
-          Fmt.pr "%a@." Adt.Consistency.pp_report cons;
-          (* the verification verdict: pattern-matrix sufficient
-             completeness, RPO termination, critical-pair confluence *)
-          let summary = Analysis.Verify.summarize spec in
-          Fmt.pr "%s@." (Fmt.str "%a" Analysis.Verify.pp_summary summary);
-          (* the static lint rules (ADT010..ADT014) and the verification
-             rules (ADT020..ADT022) name each defect the two lines above
-             only count: a full lint run is `adtc lint` *)
+          (* one summary decides completeness, termination, confluence
+             and consistency; the findings below name each defect its
+             verdict line only counts (a full lint run is `adtc lint`) *)
+          let open Analysis in
+          let s = Verify.summarize spec in
+          Fmt.pr "%a@." Verify.pp_summary s;
           let findings =
-            Analysis.Lint.static spec @ Analysis.Lint.verify spec
+            Lint.static spec
+            @ Verify.adt020 spec s.Verify.s_holes
+            @ Verify.adt021 s.Verify.s_analysis
+            @ Verify.adt022 s.Verify.s_analysis
           in
-          List.iter
-            (fun d -> Fmt.pr "%s@." (Analysis.Diagnostic.to_line d))
-            findings;
-          let lint_ok =
-            not
-              (List.exists
-                 (fun d ->
-                   d.Analysis.Diagnostic.severity = Analysis.Diagnostic.Error)
-                 findings)
-          in
+          List.iter (fun d -> Fmt.pr "%s@." (Diagnostic.to_line d)) findings;
           let ok =
-            summary.Analysis.Verify.s_holes = []
-            && Adt.Consistency.is_consistent spec cons
-            && lint_ok
+            s.Verify.s_holes = [] && s.Verify.s_consistent
+            && not
+                 (List.exists
+                    (fun d -> d.Diagnostic.severity = Diagnostic.Error)
+                    findings)
           in
           Fmt.pr "@.";
           if ok then failures else failures + 1)
@@ -134,10 +127,12 @@ let check_cmd =
     if failures > 0 then 1 else 0
   in
   let doc =
-    "Check sufficient-completeness and consistency of specifications, with \
-     a verification verdict (pattern-matrix completeness, RPO termination, \
-     critical-pair confluence) plus the static ADTxxx lint rules; \
-     error-severity findings fail the check."
+    "Check sufficient-completeness and consistency of specifications: one \
+     verification verdict per specification (pattern-matrix completeness, \
+     RPO termination, critical-pair confluence), followed by the static \
+     ADTxxx lint rules and the ADT020-ADT022 findings of that verdict; an \
+     incomplete or inconsistent specification, or an error-severity \
+     finding, fails the check."
   in
   Cmd.v
     (Cmd.info "check" ~doc ~exits:analysis_exits)

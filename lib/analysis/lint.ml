@@ -32,11 +32,12 @@ let missing_cases spec holes =
    pass set (counted as store misses, never served stale). Bump on any
    change to the rule set or to a rule's semantics. Version 2 added the
    verification passes ADT020-ADT022; version 3 derived ADT001 from the
-   ADT020 hole list. *)
-let pass_version = 3
+   ADT020 hole list; version 4 decided the check verb's [consistent=] and
+   ADT002's error severity from one ground-only value predicate
+   ([Consistency.inconsistencies]) inside one [Verify.summarize]. *)
+let pass_version = 4
 
 let static_codes = [ "ADT010"; "ADT011"; "ADT012"; "ADT013"; "ADT014" ]
-let verify_codes = [ "ADT020"; "ADT021"; "ADT022" ]
 
 let pass_of_code = function
   | "ADT010" -> Left_linear.check
@@ -79,7 +80,6 @@ let run ?(config = default_config) spec =
     Diagnostic.rules
 
 let static spec = run ~config:{ only = Some static_codes; fuel = None } spec
-let verify spec = run ~config:{ only = Some verify_codes; fuel = None } spec
 
 let counts_by_rule diags =
   List.map

@@ -9,17 +9,17 @@
     critical-pair confluence). ADT001 and ADT020 share one
     {!Adt.Completeness.holes} list per run, and ADT002, ADT021 and ADT022
     one {!Verify.analyze} computation, so their verdicts can never
-    disagree. [static] runs only the syntactic passes and [verify] only
-    the decision passes; [adtc check] uses both alongside the consistency
-    report and verification verdict it prints itself. *)
+    disagree. [static] runs only the syntactic passes; [adtc check] prints
+    them after its {!Verify.summarize} line and the ADT020-ADT022 findings
+    of that same summary. *)
 
 type config = {
   only : string list option;
       (** Restrict to these rule codes; [None] runs every rule. Unknown
           codes raise [Invalid_argument] in {!run}. *)
   fuel : int option;
-      (** Fuel for the ADT002/ADT022 joinability search ([None] = the
-          {!Adt.Consistency.check} default). *)
+      (** Fuel for the ADT002/ADT022 joinability search of
+          {!Verify.analyze} ([None] = the rewrite engine's default). *)
 }
 
 val default_config : config
@@ -33,12 +33,6 @@ val static_codes : string list
 
 val static : Adt.Spec.t -> Diagnostic.t list
 (** [run] restricted to {!static_codes}. *)
-
-val verify_codes : string list
-(** The decision passes: ADT020, ADT021, ADT022. *)
-
-val verify : Adt.Spec.t -> Diagnostic.t list
-(** [run] restricted to {!verify_codes}. *)
 
 val pass_version : int
 (** Version of the analysis pass set, baked into the engine's persisted

@@ -141,12 +141,13 @@ let adt022 a =
     ]
 
 (* ADT002, the historical per-pair rule, fed from the same analysis so the
-   two codes cannot disagree. Distinct value normal forms prove
-   inconsistency (error); divergence between non-value terms is a warning;
-   a joinability-search timeout is informational. *)
+   two codes cannot disagree. A pair of [Consistency.inconsistencies]
+   (distinct value normal forms) proves inconsistency (error); other
+   divergence is a warning; a joinability-search timeout is
+   informational. *)
 let adt002 a =
   let spec = a.a_spec in
-  let is_value t = Spec.is_constructor_ground_term spec t || Term.is_error t in
+  let inconsistent = Consistency.inconsistencies spec a.report in
   List.filter_map
     (fun ((cp : Consistency.cp), verdict) ->
       let mk severity message suggestion =
@@ -157,7 +158,8 @@ let adt002 a =
       in
       match verdict with
       | Consistency.Joinable _ -> None
-      | Consistency.Diverges (l, r) when is_value l && is_value r ->
+      | Consistency.Diverges (l, r)
+        when List.exists (fun (c, _, _) -> c == cp) inconsistent ->
         mk Diagnostic.Error
           (Fmt.str
              "axioms [%s] and [%s] rewrite %s to distinct values %s and %s: \
@@ -187,34 +189,33 @@ let adt002 a =
           "re-run with a larger fuel budget")
     a.report.Consistency.pairs
 
-(* {1 The check-command summary} *)
+(* {1 The check summary} *)
 
 type summary = {
-  s_spec : string;
+  s_analysis : analysis;
   s_holes : Completeness.hole list;
-  s_unoriented : Axiom.t list;
-  s_status : status;
-  s_pairs : int;
+  s_missing : int;
+  s_consistent : bool;
 }
 
 let summarize ?fuel spec =
   let a = analyze ?fuel spec in
+  let holes = Completeness.holes spec in
   {
-    s_spec = Spec.name spec;
-    s_holes = Completeness.holes spec;
-    s_unoriented = a.search.Ordering.unoriented;
-    s_status = a.status;
-    s_pairs = List.length a.report.Consistency.pairs;
+    s_analysis = a;
+    s_holes = holes;
+    s_missing = List.length (Heuristics.prompts ~holes spec);
+    s_consistent = Consistency.is_consistent spec a.report;
   }
 
-let verified s =
-  s.s_holes = []
-  && s.s_unoriented = []
-  && match s.s_status with
-     | Confluent_newman | Confluent_orthogonal -> true
-     | _ -> false
+let critical_pairs s = List.length s.s_analysis.report.Consistency.pairs
+
+(* [Confluent_newman] is the one status reached with a termination
+   certificate *)
+let verified s = s.s_holes = [] && s.s_analysis.status = Confluent_newman
 
 let pp_summary ppf s =
+  let a = s.s_analysis in
   let completeness ppf () =
     match s.s_holes with
     | [] -> Fmt.string ppf "sufficiently complete"
@@ -228,21 +229,21 @@ let pp_summary ppf s =
           (List.length holes)
   in
   let termination ppf () =
-    match s.s_unoriented with
+    match a.search.Ordering.unoriented with
     | [] -> Fmt.string ppf "terminating (recursive path ordering)"
     | axs ->
       Fmt.pf ppf "termination unproven (%d non-orientable axiom(s))"
         (List.length axs)
   in
   let confluence ppf () =
-    match s.s_status with
+    match a.status with
     | Confluent_newman ->
-      if s.s_pairs = 0 then
+      if critical_pairs s = 0 then
         Fmt.string ppf "confluent (no critical pairs; terminating)"
       else
         Fmt.pf ppf "confluent (Newman: %d critical pair(s) joinable, \
                     terminating)"
-          s.s_pairs
+          (critical_pairs s)
     | Confluent_orthogonal ->
       Fmt.string ppf "confluent (orthogonal: left-linear, no critical pairs)"
     | Locally_confluent_only ->
@@ -250,5 +251,5 @@ let pp_summary ppf s =
     | Not_locally_confluent -> Fmt.string ppf "NOT locally confluent"
     | Undecided -> Fmt.string ppf "confluence undecided (joinability timeout)"
   in
-  Fmt.pf ppf "verify %s: %a; %a; %a" s.s_spec completeness () termination ()
-    confluence ()
+  Fmt.pf ppf "verify %s: %a; %a; %a" (Spec.name a.a_spec) completeness ()
+    termination () confluence ()

@@ -26,7 +26,12 @@
 
     ADT002 (critical-pair divergence, per pair) is routed through the same
     {!analysis} value as ADT022, so the two rules can never disagree about
-    which pairs exist or whether they join. *)
+    which pairs exist or whether they join.
+
+    {!analyze} is the only place that decides termination, confluence and
+    consistency: {!summarize} wraps one analysis with the hole list into
+    the check summary that both [adtc check] and the engine's [check] verb
+    render. *)
 
 (** {1 Termination + confluence (ADT021, ADT022, shared with ADT002)} *)
 
@@ -69,25 +74,33 @@ val adt022 : analysis -> Diagnostic.t list
     confluence is established. *)
 
 val adt002 : analysis -> Diagnostic.t list
-(** The historical per-pair rule, now fed from the same {!analysis}:
-    distinct value normal forms are errors (inconsistency), other
-    divergence warnings, joinability timeouts infos. *)
+(** The historical per-pair rule, now fed from the same {!analysis}: the
+    pairs of {!Adt.Consistency.inconsistencies} (distinct value normal
+    forms) are errors, other divergence warnings, joinability timeouts
+    infos. *)
 
-(** {1 The check-command summary} *)
+(** {1 The check summary} *)
 
 type summary = {
-  s_spec : string;
-  s_holes : Adt.Completeness.hole list;
-  s_unoriented : Adt.Axiom.t list;
-  s_status : status;
-  s_pairs : int;
+  s_analysis : analysis;  (** Termination, confluence, critical pairs. *)
+  s_holes : Adt.Completeness.hole list;  (** The ADT020 hole list. *)
+  s_missing : int;
+      (** The number of {!Adt.Heuristics.prompts} for [s_holes]: the
+          [missing=] count of the [check] and [skeletons] verbs. *)
+  s_consistent : bool;
+      (** {!Adt.Consistency.is_consistent} of the analysis' report. *)
 }
 
 val summarize : ?fuel:int -> Adt.Spec.t -> summary
-(** Runs all three passes; [adtc check] prints this one-line verdict per
-    specification and takes its completeness verdict from [s_holes]. *)
+(** One {!analyze} and one {!Adt.Completeness.holes}: everything
+    [adtc check] prints and exits by, and the whole payload of the [check]
+    verb. *)
+
+val critical_pairs : summary -> int
+(** The number of critical pairs. *)
 
 val verified : summary -> bool
 (** Sufficiently complete, terminating, and confluent. *)
 
 val pp_summary : summary Fmt.t
+(** The one-line [verify NAME: ...] verdict. *)

@@ -69,7 +69,7 @@ let complete ?(max_rules = 256) ?(fuel = 50_000) ~precedence ~is_value axioms =
 let complete_spec ?max_rules ?fuel spec =
   let is_value t = Spec.is_constructor_term spec t || Term.is_error t in
   complete ?max_rules ?fuel
-    ~precedence:(Ordering.dependency spec)
+    ~precedence:(Ordering.search_precedence (Ordering.search spec))
     ~is_value (Spec.axioms spec)
 
 let pp_outcome ppf = function

@@ -44,8 +44,9 @@ val complete :
 
 val complete_spec :
   ?max_rules:int -> ?fuel:int -> Spec.t -> outcome * stats
-(** Completion of a specification's axioms under its dependency
-    precedence. *)
+(** Completion of a specification's axioms under the precedence that
+    {!Ordering.search} settles on for it (the one ADT021 proves termination
+    with). *)
 
 val pp_outcome : outcome Fmt.t
 val pp_stats : stats Fmt.t

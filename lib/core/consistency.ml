@@ -9,11 +9,7 @@ type cp = {
 
 type verdict = Joinable of Term.t | Diverges of Term.t * Term.t | Timeout
 
-type report = {
-  spec_name : string;
-  pairs : (cp * verdict) list;
-  orientable : bool;
-}
+type report = { pairs : (cp * verdict) list }
 
 let label i (r : Rewrite.rule) =
   if String.equal r.Rewrite.rule_name "" then Fmt.str "#%d" i
@@ -115,23 +111,20 @@ let check ?fuel spec =
   let pairs =
     List.map (fun cp -> (cp, decide ?fuel sys cp)) (critical_pairs (Rewrite.rules sys))
   in
-  let orientable =
-    match Ordering.orients_all (Ordering.dependency spec) (Spec.axioms spec) with
-    | Ok () -> true
-    | Error _ -> false
-  in
-  { spec_name = Spec.name spec; pairs; orientable }
+  { pairs }
 
 let locally_confluent report =
   List.for_all (fun (_, v) -> match v with Joinable _ -> true | _ -> false)
     report.pairs
 
-(* Distinct constructor normal forms denote distinct values in the initial
-   algebra, so such a divergence is a genuine contradiction; [error] against
-   a constructor term likewise (the error algebra keeps error distinct from
-   every proper value). *)
+(* Distinct ground constructor normal forms denote distinct values in the
+   initial algebra, so such a divergence is a genuine contradiction; [error]
+   against a constructor term likewise (the error algebra keeps error
+   distinct from every proper value). A constructor term with variables is
+   not a value: two of them may still denote the same value at every
+   ground instance, so their divergence proves no contradiction. *)
 let inconsistencies spec report =
-  let value t = Spec.is_constructor_term spec t || Term.is_error t in
+  let value t = Spec.is_constructor_ground_term spec t || Term.is_error t in
   List.filter_map
     (fun (cp, v) ->
       match v with
@@ -140,17 +133,6 @@ let inconsistencies spec report =
     report.pairs
 
 let is_consistent spec report = inconsistencies spec report = []
-
-let pp_verdict ppf = function
-  | Joinable t -> Fmt.pf ppf "joinable at %a" Term.pp t
-  | Diverges (a, b) -> Fmt.pf ppf "DIVERGES: %a vs %a" Term.pp a Term.pp b
-  | Timeout -> Fmt.string ppf "timeout"
-
-let pp_pair ppf (cp, v) =
-  Fmt.pf ppf "@[<v 2>overlap of %s into %s at %a:@,peak  %a@,left  %a@,right %a@,%a@]"
-    cp.rule2 cp.rule1
-    Fmt.(brackets (list ~sep:comma int))
-    cp.position Term.pp cp.peak Term.pp cp.left Term.pp cp.right pp_verdict v
 
 let ground_strategy_agreement ?fuel universe ~size =
   let spec = Enum.spec universe in
@@ -184,15 +166,3 @@ let ground_strategy_agreement ?fuel universe ~size =
       (Spec.observers spec);
     Ok !checked
   with Disagree t -> Error t
-
-let pp_report ppf r =
-  match r.pairs with
-  | [] ->
-    Fmt.pf ppf
-      "@[<v>spec %s: no critical pairs (orthogonal system)%s@]" r.spec_name
-      (if r.orientable then "; terminating under dependency LPO" else "")
-  | pairs ->
-    Fmt.pf ppf "@[<v>spec %s: %d critical pair(s)@,%a@]" r.spec_name
-      (List.length pairs)
-      Fmt.(list ~sep:cut pp_pair)
-      pairs

@@ -6,9 +6,15 @@
     two axioms apply in overlapping ways — whose two results cannot be
     rewritten back together. This module computes all critical pairs,
     decides joinability by normalization, and flags the unmistakable
-    inconsistencies: pairs whose normal forms are distinct constructor
-    terms (in the initial algebra, distinct constructor terms denote
-    distinct values — deriving [true = false] is the canonical example).
+    inconsistencies: pairs whose normal forms are distinct ground
+    constructor terms (in the initial algebra, distinct constructor terms
+    denote distinct values — deriving [true = false] is the canonical
+    example).
+
+    This module holds the critical pairs and their joinability only.
+    Termination, and with it the confluence verdict, is decided once, by
+    [Analysis.Verify.analyze]; the ADT002 and ADT022 lint rules, the
+    [check] engine verb and [adtc check] all read that one analysis.
 
     All of the paper's specifications are orthogonal (left-linear and
     overlap-free), so their reports contain no critical pairs at all; the
@@ -28,13 +34,7 @@ type verdict =
   | Diverges of Term.t * Term.t  (** Distinct normal forms. *)
   | Timeout
 
-type report = {
-  spec_name : string;
-  pairs : (cp * verdict) list;
-  orientable : bool;
-      (** Every axiom decreases under the dependency LPO — the termination
-          premise that upgrades local confluence to confluence. *)
-}
+type report = { pairs : (cp * verdict) list }
 
 val critical_pairs : Rewrite.rule list -> cp list
 (** All critical pairs between (renamed-apart) rules, including
@@ -47,15 +47,15 @@ val check : ?fuel:int -> Spec.t -> report
 val locally_confluent : report -> bool
 (** Every pair joinable. *)
 
-val is_consistent : Spec.t -> report -> bool
-(** No pair whose two normal forms are distinct values (constructor terms or
-    [error]). A [true] verdict is relative: divergence between
-    non-value terms is reported but not counted as proof of inconsistency. *)
-
 val inconsistencies : Spec.t -> report -> (cp * Term.t * Term.t) list
-(** Pairs with distinct value normal forms, with those normal forms. *)
+(** Pairs with distinct value normal forms, with those normal forms. A
+    value is a ground constructor term or [error]; this is the one value
+    predicate, read by both [consistent=] and ADT002's error severity. *)
 
-val pp_report : report Fmt.t
+val is_consistent : Spec.t -> report -> bool
+(** [inconsistencies] is empty. A [true] verdict is relative: divergence
+    between non-value terms is reported but not counted as proof of
+    inconsistency. *)
 
 (** {1 Ground cross-checks}
 

@@ -53,11 +53,6 @@ let dependency_table spec =
   done;
   tbl
 
-let dependency spec =
-  let tbl = dependency_table spec in
-  let rank name = Option.value ~default:0 (Hashtbl.find_opt tbl name) in
-  of_ranks ~rank:(fun op -> rank (Op.name op))
-
 type head = Err_h | If_h | Op_h of Op.t
 
 let head_of t =
@@ -120,14 +115,6 @@ let orient prec (a, b) =
       (Fmt.str "cannot orient %a = %a under the given precedence" Term.pp a
          Term.pp b)
 
-let orients_all prec axioms =
-  let rec go = function
-    | [] -> Ok ()
-    | ax :: rest ->
-      if lpo_gt prec (Axiom.lhs ax) (Axiom.rhs ax) then go rest else Error ax
-  in
-  go axioms
-
 type search_result = {
   ranks : (string * int) list;
   unoriented : Axiom.t list;
@@ -148,9 +135,9 @@ let oriented sr = sr.unoriented = []
    the repair loop terminates; it stops with the axioms that still resist
    — precedence bumps cannot help an equation like UNION(a,b) = UNION(b,a),
    whose two sides compare lexicographically under any precedence. Unlike
-   [dependency], the search may promote a constructor above another when
-   the specification rewrites constructor terms (non-free types such as a
-   wrapping counter). *)
+   the call-graph seed, the search may promote a constructor above another
+   when the specification rewrites constructor terms (non-free types such
+   as a wrapping counter). *)
 let search spec =
   let axioms = List.filter Axiom.is_executable (Spec.axioms spec) in
   let tbl = dependency_table spec in

@@ -6,8 +6,8 @@
 
     The builtin [if-then-else] is treated as a function symbol just above
     [error] and below every proper operation; with that placement each of
-    the paper's axioms orients left to right under the {!dependency}
-    precedence (the defined operation dominates the operations its
+    the paper's axioms orients left to right under the call-graph ranks
+    that seed {!search} (the defined operation dominates the operations its
     right-hand sides call). *)
 
 type precedence = Op.t -> Op.t -> int
@@ -21,14 +21,6 @@ val of_list : string list -> precedence
 (** Earlier names are {e greater}; names absent from the list are smaller
     than present ones and ordered alphabetically. *)
 
-val dependency : Spec.t -> precedence
-(** Precedence derived from the call graph of the specification: operation
-    [f] depends on [g] when [g] occurs on the right-hand side of an axiom
-    whose head is [f]. The rank of an operation is the longest dependency
-    chain below it (cycles collapse to one rank); constructors rank lowest.
-    This orients all axioms of hierarchical specifications in the paper's
-    style, including across [Spec.union]. *)
-
 val lpo_gt : precedence -> Term.t -> Term.t -> bool
 (** Strict LPO comparison. Variables are minimal: [lpo_gt s (Var x)] holds
     iff [x] occurs in [s] and [s <> Var x]. *)
@@ -36,11 +28,6 @@ val lpo_gt : precedence -> Term.t -> Term.t -> bool
 val orient :
   precedence -> Term.t * Term.t -> (Term.t * Term.t, string) result
 (** Orders a pair into (greater, smaller), or explains why it cannot. *)
-
-val orients_all : precedence -> Axiom.t list -> (unit, Axiom.t) result
-(** Checks every axiom decreases left to right — a termination certificate
-    for the specification's rewrite system. Returns the first offending
-    axiom on failure. *)
 
 (** {1 Precedence search}
 
@@ -57,11 +44,16 @@ type search_result = {
 }
 
 val search : Spec.t -> search_result
-(** Greedy precedence search seeded from the {!dependency} call-graph
-    ranks: while an executable axiom fails to decrease under the current
-    LPO, raise its head operation's rank just above every operation of its
-    right-hand side, until every axiom orients or no bump makes progress
-    (ranks are capped, so the search terminates). [unoriented = []] is a
+(** Greedy precedence search seeded from the call graph of the
+    specification: operation [f] depends on [g] when [g] occurs on the
+    right-hand side of an axiom whose head is [f], and the seed rank of an
+    operation is the longest dependency chain below it (cycles collapse to
+    one rank; constructors rank lowest). That seed already orients the
+    hierarchical specifications of the paper's style, including across
+    [Spec.union]. While an executable axiom fails to decrease under the
+    current LPO, raise its head operation's rank just above every operation
+    of its right-hand side, until every axiom orients or no bump makes
+    progress (ranks are capped, so the search terminates). [unoriented = []] is a
     termination certificate for the specification's rewrite system under
     {!search_precedence}. *)
 

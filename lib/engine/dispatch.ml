@@ -62,10 +62,12 @@ let do_normalize ctx session entry term_src req_fuel poll =
         (Protocol.sanitize (Fmt.str "%a" Interp.pp_value value)))
 
 (* the check record kind carries the analysis pass version, as the lint
-   kind below does: a verdict persisted by an older completeness decider
-   is never replayed *)
+   kind below does: a verdict persisted by an older pass set is never
+   replayed *)
 let check_kind = Fmt.str "check/p%d" Analysis.Lint.pass_version
 
+(* the payload renders one [Verify.summarize], the summary [adtc check]
+   prints, so the verb and the command cannot disagree *)
 let do_check ctx session entry =
   Obs.Trace.with_span ctx.trace "rewrite" @@ fun () ->
   let spec = Session.entry_spec entry in
@@ -73,14 +75,13 @@ let do_check ctx session entry =
   match Session.persist_meta_find entry ~kind:check_kind ~key:name with
   | Some payload -> Protocol.Ok_response payload
   | None ->
-    let holes = Completeness.holes spec in
-    let cons = Consistency.check spec in
+    let s = Analysis.Verify.summarize spec in
     let payload =
       Fmt.str "check %s complete=%b consistent=%b missing=%d critical_pairs=%d"
-        name (holes = [])
-        (Consistency.is_consistent spec cons)
-        (List.length (Heuristics.prompts ~holes spec))
-        (List.length cons.Consistency.pairs)
+        name
+        (s.Analysis.Verify.s_holes = [])
+        s.Analysis.Verify.s_consistent s.Analysis.Verify.s_missing
+        (Analysis.Verify.critical_pairs s)
     in
     Session.persist_meta_record session entry ~kind:check_kind ~key:name
       payload;

@@ -4,7 +4,13 @@
    corpus, every shipped .adt file and every variant with one named axiom
    dropped, the surfaces must agree with [Completeness.holes] and with
    each other, and the stubs they propose must be left-linear and must
-   not make the specification inconsistent. *)
+   not make the specification inconsistent.
+
+   Likewise one termination, confluence and consistency analysis: over the
+   same pool, the check verb's [consistent=] and [critical_pairs=], the
+   verification line of [adtc check], and the ADT002 errors, ADT021 and
+   ADT022 of a lint run must agree with one [Verify.summarize] of the spec
+   at the same (default) fuel. *)
 
 open Adt
 open Analysis
@@ -171,11 +177,69 @@ let check_variant (label, source, spec) =
               stubbed))
   end
 
+let codes_of code severity diags =
+  List.filter
+    (fun d ->
+      String.equal d.Diagnostic.code code
+      && (match severity with None -> true | Some s -> d.Diagnostic.severity = s))
+    diags
+
+let check_analysis (label, _, spec) =
+  let what fmt = Fmt.kstr (fun s -> Fmt.str "%s: %s" label s) fmt in
+  let s = Verify.summarize spec in
+  let a = s.Verify.s_analysis in
+  let check = reply (Engine.Session.create [ spec ]) ("check " ^ Spec.name spec) in
+  Alcotest.(check bool) (what "consistent= is the summary's")
+    s.Verify.s_consistent (bool_of_string (field check "consistent"));
+  Alcotest.(check int) (what "critical_pairs= is the summary's")
+    (Verify.critical_pairs s) (int_of_string (field check "critical_pairs"));
+  let lint =
+    Lint.run
+      ~config:{ Lint.only = Some [ "ADT002"; "ADT021"; "ADT022" ]; fuel = None }
+      spec
+  in
+  let line = Fmt.str "%a" Verify.pp_summary s in
+  let unoriented = List.map Axiom.name a.Verify.search.Ordering.unoriented in
+  Alcotest.(check (list string)) (what "ADT021 names the unoriented axioms")
+    unoriented
+    (List.map
+       (fun d -> Option.value ~default:"" d.Diagnostic.locus.axiom)
+       (codes_of "ADT021" None lint));
+  Alcotest.(check bool) (what "the verify line says terminating iff no ADT021")
+    (unoriented = [])
+    (contains line "; terminating (recursive path ordering);");
+  let refuted = a.Verify.status = Verify.Not_locally_confluent in
+  Alcotest.(check bool) (what "ADT022 error iff not locally confluent")
+    refuted (codes_of "ADT022" (Some Diagnostic.Error) lint <> []);
+  Alcotest.(check bool) (what "the verify line says NOT locally confluent")
+    refuted (contains line "; NOT locally confluent");
+  let confluent =
+    match a.Verify.status with
+    | Verify.Confluent_newman | Verify.Confluent_orthogonal -> true
+    | _ -> false
+  in
+  Alcotest.(check bool) (what "no ADT022 iff confluent")
+    confluent (codes_of "ADT022" None lint = []);
+  Alcotest.(check bool) (what "the verify line says confluent")
+    confluent (contains line "; confluent (");
+  Alcotest.(check bool) (what "no ADT002 error iff consistent")
+    s.Verify.s_consistent (codes_of "ADT002" (Some Diagnostic.Error) lint = []);
+  if not s.Verify.s_consistent then
+    Alcotest.(check bool) (what "an inconsistent spec is not confluent")
+      true refuted
+
+let variants = lazy (pool ())
+
 let test_surfaces_agree () =
-  let variants = pool () in
+  let variants = Lazy.force variants in
   Alcotest.(check bool) "the pool covers the drop-one variants" true
     (List.length variants > 400);
   List.iter check_variant variants
 
+let test_analysis_agrees () = List.iter check_analysis (Lazy.force variants)
+
 let suite =
-  [ Helpers.case "every surface reads one hole list" test_surfaces_agree ]
+  [
+    Helpers.case "every surface reads one hole list" test_surfaces_agree;
+    Helpers.case "every surface reads one analysis" test_analysis_agrees;
+  ]

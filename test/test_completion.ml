@@ -2,6 +2,7 @@ open Adt
 open Helpers
 
 let is_value spec t = Spec.is_constructor_term spec t || Term.is_error t
+let nat_precedence = Ordering.search_precedence (Ordering.search nat_spec)
 
 let test_canonical_spec_completes_unchanged () =
   let outcome, stats = Completion.complete_spec nat_spec in
@@ -24,7 +25,7 @@ let test_joins_redundant_equation () =
   let redundant = Axiom.v ~name:"red" ~lhs:(plus z z) ~rhs:z () in
   let outcome, _ =
     Completion.complete
-      ~precedence:(Ordering.dependency nat_spec)
+      ~precedence:nat_precedence
       ~is_value:(is_value nat_spec)
       (Spec.axioms nat_spec @ [ redundant ])
   in
@@ -38,7 +39,7 @@ let test_derives_missing_rule () =
   let extra = Axiom.v ~name:"comm0" ~lhs:(plus (v "n") z) ~rhs:(v "n") () in
   let outcome, _ =
     Completion.complete
-      ~precedence:(Ordering.dependency nat_spec)
+      ~precedence:nat_precedence
       ~is_value:(is_value nat_spec)
       (Spec.axioms nat_spec @ [ extra ])
   in
@@ -52,7 +53,7 @@ let test_detects_inconsistency () =
   let evil = Axiom.v ~name:"evil" ~lhs:(isz z) ~rhs:Term.ff () in
   let outcome, _ =
     Completion.complete
-      ~precedence:(Ordering.dependency nat_spec)
+      ~precedence:nat_precedence
       ~is_value:(is_value nat_spec)
       (Spec.axioms nat_spec @ [ evil ])
   in
@@ -69,7 +70,7 @@ let test_unorientable_reported () =
   let comm = Axiom.v ~name:"comm" ~lhs:(plus (v "a") (v "b")) ~rhs:(plus (v "b") (v "a")) () in
   let outcome, _ =
     Completion.complete
-      ~precedence:(Ordering.dependency nat_spec)
+      ~precedence:nat_precedence
       ~is_value:(fun _ -> false)
       [ comm ]
   in

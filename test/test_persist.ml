@@ -768,7 +768,14 @@ end|}
     ~request:"check Counter"
     ~stale:"check Counter complete=true consistent=true missing=0 \
             critical_pairs=0"
-    ~fresh:"complete=false"
+    ~fresh:"complete=false";
+  (* and a check verdict persisted by the previous pass version *)
+  pass_version_invalidates ~spec:Adt_specs.Queue_spec.spec
+    ~stale_kind:(Fmt.str "check/p%d" (Analysis.Lint.pass_version - 1))
+    ~request:"check Queue"
+    ~stale:"check Queue complete=false consistent=false missing=9 \
+            critical_pairs=9"
+    ~fresh:"complete=true consistent=true missing=0 critical_pairs=0"
 
 let suite =
   [

@@ -85,7 +85,7 @@ let prop_plus_is_addition =
 
 let prop_lpo_strict_on_rewrites =
   qcheck "rewriting strictly decreases the LPO" open_term_gen (fun t ->
-      let prec = Ordering.dependency nat_spec in
+      let prec = Ordering.search_precedence (Ordering.search nat_spec) in
       match Rewrite.step nat_system t with
       | None -> true
       | Some e -> Ordering.lpo_gt prec e.Rewrite.before e.Rewrite.after)

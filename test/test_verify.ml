@@ -177,7 +177,12 @@ let test_statuses () =
   check_status "Flow is orthogonal" Verify.Confluent_orthogonal (flow_spec ())
 
 let test_flow_fires_only_adt021 () =
-  let diags = Lint.verify (flow_spec ()) in
+  let diags =
+    Lint.run
+      ~config:
+        { Lint.only = Some [ "ADT020"; "ADT021"; "ADT022" ]; fuel = None }
+      (flow_spec ())
+  in
   Alcotest.(check (list string)) "exactly the termination finding"
     [ "ADT021" ]
     (List.map (fun d -> d.Diagnostic.code) diags)
