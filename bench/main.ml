@@ -2,7 +2,8 @@
 
    The paper (Guttag, CACM 1977) has no quantitative tables; its measurable
    claims and exhibited artifacts are reproduced here as experiments E1-E18
-   (E13 was folded into E18).
+   (E13 was folded into E18; E10 and E15, in-process serving, were retired
+   in favour of perfbench's socket workloads).
    Sections print the artifact reproductions (the ring-buffer figures, the
    mechanical proof, the prompting transcript, the axiom diff) and time the
    claims that are about cost (symbolic interpretation overhead,
@@ -518,85 +519,6 @@ let e9 () =
     totals.Engine.Session.hits totals.Engine.Session.misses
     totals.Engine.Session.entries
 
-(* {1 E10 - engine: multi-client serving over the socket} *)
-
-let e10_connect path =
-  let deadline = Unix.gettimeofday () +. 10. in
-  let rec go () =
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    match Unix.connect fd (Unix.ADDR_UNIX path) with
-    | () -> fd
-    | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _) ->
-      Unix.close fd;
-      if Unix.gettimeofday () > deadline then failwith "e10: no server";
-      Thread.delay 0.01;
-      go ()
-  in
-  go ()
-
-let e10_client path requests =
-  let fd = e10_connect path in
-  let ic = Unix.in_channel_of_descr fd and oc = Unix.out_channel_of_descr fd in
-  List.iter
-    (fun line ->
-      output_string oc line;
-      output_char oc '\n';
-      flush oc;
-      ignore (input_line ic))
-    requests;
-  Unix.close fd
-
-let e10 () =
-  Fmt.pr "@.=== E10: multi-client serving over the socket ===@.";
-  Fmt.pr
-    "(the same warm request mix split over k connections; OCaml systhreads \
-     interleave@.";
-  Fmt.pr
-    " rather than parallelize, so this measures per-connection overhead and \
-     locking cost)@.";
-  let path =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Fmt.str "adtc-bench-%d.sock" (Unix.getpid ()))
-  in
-  let session = Engine.Session.create [ Queue_spec.spec ] in
-  let stop = ref false in
-  let server =
-    Thread.create
-      (fun () ->
-        Engine.Server.serve_socket ~handle_signals:false ~stop session ~path)
-      ()
-  in
-  let total = 400 in
-  let n_mix = List.length e9_requests in
-  let script n = List.init n (fun i -> List.nth e9_requests (i mod n_mix)) in
-  let run_clients k =
-    let per = total / k in
-    let clients =
-      List.init k (fun _ -> Thread.create (fun () -> e10_client path (script per)) ())
-    in
-    List.iter Thread.join clients
-  in
-  (* one warm-up pass so every shape replays against the same warm cache *)
-  run_clients 1;
-  let rows =
-    List.map
-      (fun k ->
-        let (), elapsed = seconds (fun () -> run_clients k) in
-        (Fmt.str "e10/serve/clients=%d" k, elapsed *. 1e9 /. float_of_int total))
-      [ 1; 2; 4; 8 ]
-  in
-  stop := true;
-  Thread.join server;
-  json_rows := !json_rows @ rows;
-  List.iter
-    (fun (name, ns) -> Fmt.pr "  %-46s %s/op@." name (pretty_ns ns))
-    rows;
-  let totals = Engine.Session.cache_totals session in
-  Fmt.pr "  shared session after run: hits=%d misses=%d entries=%d@."
-    totals.Engine.Session.hits totals.Engine.Session.misses
-    totals.Engine.Session.entries
-
 (* {1 E11 - observability: the cost of tracing, off and on} *)
 
 let e11 () =
@@ -686,118 +608,6 @@ let memo_workload memo queries () =
     (fun acc q ->
       acc + Term.size (Rewrite.normalize_memo ~memo refinement_sys q))
     0 queries
-
-(* {1 E15 - engine: saturation across the domain pool} *)
-
-(* The E10 socket workload swept client counts against a single-threaded
-   accept loop; E15 sweeps the full grid of server domains x concurrent
-   clients. With d > 1 the domain pool serves requests in parallel (each
-   domain has its own interpreter slot and metrics stripe), so on a
-   multi-core machine throughput scales with d until the cores — or the
-   clients — saturate. On a single core the curve is flat: the grid is
-   still exercised end to end, the speedup just reads ~1x. *)
-
-type e15_cell = {
-  e15_domains : int;
-  e15_clients : int;
-  e15_requests : int;
-  e15_seconds : float;
-}
-
-let e15_cells : e15_cell list ref = ref []
-
-let e15 () =
-  Fmt.pr "@.=== E15: saturation across the domain pool ===@.";
-  Fmt.pr
-    "(the E10 request mix over a grid of server domains x concurrent \
-     clients;@.";
-  Fmt.pr
-    " cores available here: %d — scaling beyond that count is visible only \
-     on@."
-    (Domain.recommended_domain_count ());
-  Fmt.pr " a machine with that many cores)@.";
-  let total = 400 in
-  let n_mix = List.length e9_requests in
-  let script n = List.init n (fun i -> List.nth e9_requests (i mod n_mix)) in
-  let cell domains clients =
-    let path =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Fmt.str "adtc-bench-e15-%d-%d-%d.sock" (Unix.getpid ()) domains clients)
-    in
-    let session = Engine.Session.create [ Queue_spec.spec ] in
-    let stop = ref false in
-    let server =
-      Thread.create
-        (fun () ->
-          Engine.Server.serve_socket ~max_clients:64 ~domains
-            ~handle_signals:false ~stop session ~path)
-        ()
-    in
-    let run () =
-      let per = total / clients in
-      let threads =
-        List.init clients (fun _ ->
-            Thread.create (fun () -> e10_client path (script per)) ())
-      in
-      List.iter Thread.join threads
-    in
-    (* warm every domain's interpreter slot before the timed pass *)
-    run ();
-    let (), elapsed = seconds run in
-    stop := true;
-    Thread.join server;
-    e15_cells :=
-      !e15_cells
-      @ [
-          {
-            e15_domains = domains;
-            e15_clients = clients;
-            e15_requests = total;
-            e15_seconds = elapsed;
-          };
-        ];
-    (Fmt.str "e15/serve/domains=%d/clients=%d" domains clients,
-     elapsed *. 1e9 /. float_of_int total)
-  in
-  let rows =
-    List.concat_map
-      (fun d -> List.map (fun k -> cell d k) [ 1; 4; 16 ])
-      [ 1; 2; 4; 8 ]
-  in
-  json_rows := !json_rows @ rows;
-  List.iter
-    (fun (name, ns) -> Fmt.pr "  %-46s %s/op@." name (pretty_ns ns))
-    rows;
-  let find name = List.assoc_opt name !json_rows in
-  (match
-     ( find "e15/serve/domains=1/clients=16",
-       find "e15/serve/domains=8/clients=16" )
-   with
-  | Some one, Some eight when eight > 0. ->
-    Fmt.pr "  throughput at 8 domains vs 1 (16 clients): %.2fx@." (one /. eight)
-  | _ -> ())
-
-(* the saturation curve as its own artifact: one object per grid cell,
-   with absolute throughput, for tracking across revisions *)
-let write_saturation path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc "[\n";
-      let n = List.length !e15_cells in
-      List.iteri
-        (fun i c ->
-          Printf.fprintf oc
-            "  {\"domains\": %d, \"clients\": %d, \"requests\": %d, \
-             \"seconds\": %.6f, \"rps\": %.1f}%s\n"
-            c.e15_domains c.e15_clients c.e15_requests c.e15_seconds
-            (float_of_int c.e15_requests /. c.e15_seconds)
-            (if i = n - 1 then "" else ","))
-        !e15_cells;
-      output_string oc "]\n");
-  Fmt.pr "wrote %d saturation cells to %s@." (List.length !e15_cells) path
 
 (* {1 E14 - spec-derived conformance suites: compile and run cost} *)
 
@@ -1196,7 +1006,6 @@ let write_e18 path =
 let () =
   Fmt.pr "Reproduction benches for Guttag, 'Abstract Data Types and the Development of Data Structures' (CACM 1977)@.";
   let json_path = ref None in
-  let saturation_path = ref None in
   let e16_path = ref None in
   let e18_path = ref None in
   let only = ref None in
@@ -1210,10 +1019,6 @@ let () =
       json_path := Some path;
       parse_args rest
     | "--json" :: [] -> failwith "--json requires a file argument"
-    | "--saturation" :: path :: rest ->
-      saturation_path := Some path;
-      parse_args rest
-    | "--saturation" :: [] -> failwith "--saturation requires a file argument"
     | "--e16" :: path :: rest ->
       e16_path := Some path;
       parse_args rest
@@ -1231,8 +1036,8 @@ let () =
   let experiments =
     [
       ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6);
-      ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10); ("e11", e11);
-      ("e12", e12); ("e14", e14); ("e15", e15); ("e16", e16);
+      ("e7", e7); ("e8", e8); ("e9", e9); ("e11", e11);
+      ("e12", e12); ("e14", e14); ("e16", e16);
       ("e17", e17); ("e18", e18);
     ]
   in
@@ -1243,7 +1048,6 @@ let () =
     | Some run -> run ()
     | None -> failwith (Fmt.str "--only %s: no such experiment" name)));
   Option.iter write_json !json_path;
-  Option.iter write_saturation !saturation_path;
   Option.iter write_e16 !e16_path;
   Option.iter write_e18 !e18_path;
   Fmt.pr "@.done.@."

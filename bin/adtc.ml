@@ -954,7 +954,8 @@ let cache_capacity_arg =
     & info [ "cache-capacity" ] ~docv:"N"
         ~doc:
           "Capacity of each specification's shared LRU normal-form cache \
-           (least recently used normal forms are evicted).")
+           and, with a cache directory, of its stored-payload table (least \
+           recently used entries are evicted).")
 
 let slowlog_ms_arg =
   Arg.(

@@ -66,11 +66,12 @@ let complete ?(max_rules = 256) ?(fuel = 50_000) ~precedence ~is_value axioms =
     (Completed !sys, stats ())
   with Stop failure -> (Failed failure, stats ())
 
+let is_value spec t = Spec.is_constructor_term spec t || Term.is_error t
+
 let complete_spec ?max_rules ?fuel spec =
-  let is_value t = Spec.is_constructor_term spec t || Term.is_error t in
   complete ?max_rules ?fuel
     ~precedence:(Ordering.search_precedence (Ordering.search spec))
-    ~is_value (Spec.axioms spec)
+    ~is_value:(is_value spec) (Spec.axioms spec)
 
 let pp_outcome ppf = function
   | Completed sys ->

@@ -31,6 +31,13 @@ type stats = {
   pairs_considered : int;
 }
 
+val is_value : Spec.t -> Term.t -> bool
+(** Completion's value predicate: a constructor term, variables allowed,
+    or [error]. It stays apart from the ground-only predicate of
+    {!Consistency.inconsistencies} because completion derives non-ground
+    equations, and one between two distinct constructor patterns, such as
+    [S(x) = ZERO], already contradicts. *)
+
 val complete :
   ?max_rules:int ->
   ?fuel:int ->
@@ -39,8 +46,8 @@ val complete :
   Axiom.t list ->
   outcome * stats
 (** [is_value] classifies terms whose distinct equality is a contradiction
-    (use [Spec.is_constructor_term spec] composed with [Term.is_error]);
-    pass [fun _ -> false] to disable inconsistency detection. *)
+    (normally {!is_value} of the specification); pass [fun _ -> false] to
+    disable inconsistency detection. *)
 
 val complete_spec :
   ?max_rules:int -> ?fuel:int -> Spec.t -> outcome * stats

@@ -11,31 +11,41 @@ open Adt
 
    Slots are created on first use by a given domain slot and published
    through an [Atomic.t], so a single-threaded process only ever has slot 0
-   — exactly the pre-striping behavior, cache capacity included. *)
+   — exactly the pre-striping behavior, cache capacity included. These
+   bounded memos are the only in-memory cache of normal forms computed in
+   this process; a store adds no memory per request. *)
 
 type slot = { interp : Interp.t; lock : Mutex.t }
 
 (* One specification's slice of the persistent store: the normal forms
-   and meta payloads loaded at boot (the warm start) plus everything this
-   process computed since, buffered in [pending] until a flush appends
+   and meta payloads loaded at boot (the warm start), plus the records this
+   process filed since, buffered in [pending] until a flush appends
    them to the entry as one checksummed frame. On disk an nf record is
    keyed by [<Term.hash> <Term.to_string>]. Loaded nf records sit unparsed
    in [warm], bucketed by that hash (hashes collide, so a bucket is a
    list); the first probe that reaches a bucket verifies its candidates
    once against the current signature ([verify]), and from then on a hit
    is one [==] against a verified key, which the slot keeps interned.
-   Records computed in this session are keyed by [Term.id] in [fresh] and
-   keep no key term alive. *)
+   Normal forms computed in this process are cached only by the bounded
+   per-slot memo; [warm] never grows after boot. *)
 type bucket =
   | Raw of (string * string) list  (* key rendering, value text *)
   | Verified of (Term.t * (Term.t * int)) list  (* key, (nf, cold steps) *)
+
+(* meta payloads by (kind, key); the client chooses the keys of [prove]
+   and [testgen] requests, so the table is bounded like the memo *)
+module Meta_lru = Lru.Make (struct
+  type t = string * string
+
+  let equal (k, k') (l, l') = String.equal k l && String.equal k' l'
+  let hash = Hashtbl.hash
+end)
 
 type persist_state = {
   digest : string;  (* Spec_digest.spec — the on-disk entry this feeds *)
   plock : Mutex.t;
   warm : (int, bucket) Hashtbl.t;  (* Term.hash of the key -> candidates *)
-  fresh : (int, Term.t * int) Hashtbl.t;  (* term id -> nf, cold steps *)
-  meta : (string * string, string) Hashtbl.t;  (* (kind, key) -> payload *)
+  meta : string Meta_lru.t;  (* (kind, key) -> payload *)
   mutable pending : Persist.Store.record list;  (* newest first *)
   mutable pending_count : int;
   mutable hits : int;
@@ -71,9 +81,8 @@ type t = {
 let nf_record value steps =
   match value with
   | Interp.Value nf | Interp.Stuck nf ->
-    Some (nf, Fmt.str "T %d %s" steps (Term.to_string nf))
-  | Interp.Error_value sort ->
-    Some (Term.err sort, Fmt.str "E %d %s" steps (Sort.name sort))
+    Some (Fmt.str "T %d %s" steps (Term.to_string nf))
+  | Interp.Error_value sort -> Some (Fmt.str "E %d %s" steps (Sort.name sort))
   | Interp.Diverged -> None
 
 let split_word s =
@@ -110,10 +119,10 @@ let split_nf_key key =
 (* the warm start parses nothing: each nf record goes, as text, into the
    bucket of the hash its key claims; a key without one can never be
    probed, so it is counted corrupt here *)
-let load_persist store spec =
+let load_persist ?cache_capacity store spec =
   let digest = Spec_digest.spec spec in
   let warm = Hashtbl.create 256 in
-  let meta = Hashtbl.create 16 in
+  let meta = Meta_lru.create ?capacity:cache_capacity () in
   let parse_corrupt = ref 0 in
   let loaded = ref 0 in
   List.iter
@@ -129,7 +138,7 @@ let load_persist store spec =
             (Raw ((rendering, r.Persist.Store.value) :: candidates));
           incr loaded
       else begin
-        Hashtbl.replace meta
+        Meta_lru.add meta
           (r.Persist.Store.kind, r.Persist.Store.key)
           r.Persist.Store.value;
         incr loaded
@@ -139,7 +148,6 @@ let load_persist store spec =
     digest;
     plock = Mutex.create ();
     warm;
-    fresh = Hashtbl.create 256;
     meta;
     pending = [];
     pending_count = 0;
@@ -176,7 +184,9 @@ let create ?fuel ?timeout ?cache_capacity ?slowlog_ms ?slowlog_capacity
         in
         let slots = Array.init stripes (fun _ -> Atomic.make None) in
         Atomic.set slots.(0) (Some { interp; lock = Mutex.create () });
-        let persist = Option.map (fun s -> load_persist s spec) store in
+        let persist =
+          Option.map (fun s -> load_persist ?cache_capacity s spec) store
+        in
         let entry = { spec; slots; slots_lock = Mutex.create (); persist } in
         (* replace an earlier registration of the same name in place *)
         if List.mem_assoc name registry then
@@ -272,17 +282,13 @@ let verify spec p hash candidates =
   else Hashtbl.replace p.warm hash (Verified slots);
   slots
 
-(* the record for [term], from this session or from disk; under [plock] *)
+(* the loaded record for [term]; under [plock] *)
 let lookup spec p term =
-  match Hashtbl.find_opt p.fresh (Term.id term) with
-  | Some _ as found -> found
-  | None -> (
-    let hash = Term.hash term in
-    match Hashtbl.find_opt p.warm hash with
-    | None -> None
-    | Some (Verified slots) -> List.assq_opt term slots
-    | Some (Raw candidates) ->
-      List.assq_opt term (verify spec p hash candidates))
+  let hash = Term.hash term in
+  match Hashtbl.find_opt p.warm hash with
+  | None -> None
+  | Some (Verified slots) -> List.assq_opt term slots
+  | Some (Raw candidates) -> List.assq_opt term (verify spec p hash candidates)
 
 let push_pending store p record =
   p.pending <- record :: p.pending;
@@ -297,23 +303,24 @@ let persist_find entry term =
         match lookup entry.spec p term with
         | Some (nf, steps) ->
           p.hits <- p.hits + 1;
-          (* classify exactly as a fresh evaluation would *)
+          (* classify exactly as an evaluation would *)
           Some (Interp.classify entry.spec nf, steps)
         | None ->
           p.misses <- p.misses + 1;
           None)
 
+(* files only evaluations that fired a rule, without a re-probe: callers
+   come here after [persist_find] missed (see the interface for why) *)
 let persist_record t entry term value steps =
   match (t.store, entry.persist) with
-  | Some store, Some p ->
-    Mutex.protect p.plock (fun () ->
-        if Option.is_none (lookup entry.spec p term) then
-          match nf_record value steps with
-          | None -> ()
-          | Some (nf, encoded) ->
-            Hashtbl.replace p.fresh (Term.id term) (nf, steps);
-            push_pending store p
-              { Persist.Store.kind = "nf"; key = nf_key term; value = encoded })
+  | Some store, Some p when steps > 0 -> (
+    match nf_record value steps with
+    | None -> ()
+    | Some encoded ->
+      let record =
+        { Persist.Store.kind = "nf"; key = nf_key term; value = encoded }
+      in
+      Mutex.protect p.plock (fun () -> push_pending store p record))
   | _ -> ()
 
 let persist_meta_find entry ~kind ~key =
@@ -321,7 +328,7 @@ let persist_meta_find entry ~kind ~key =
   | None -> None
   | Some p ->
     Mutex.protect p.plock (fun () ->
-        match Hashtbl.find_opt p.meta (kind, key) with
+        match Meta_lru.find p.meta (kind, key) with
         | Some payload ->
           p.hits <- p.hits + 1;
           Some payload
@@ -333,8 +340,8 @@ let persist_meta_record t entry ~kind ~key payload =
   match (t.store, entry.persist) with
   | Some store, Some p ->
     Mutex.protect p.plock (fun () ->
-        if not (Hashtbl.mem p.meta (kind, key)) then begin
-          Hashtbl.replace p.meta (kind, key) payload;
+        if not (Meta_lru.mem p.meta (kind, key)) then begin
+          Meta_lru.add p.meta (kind, key) payload;
           push_pending store p { Persist.Store.kind; key; value = payload }
         end)
   | _ -> ()

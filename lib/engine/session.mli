@@ -41,7 +41,8 @@ val create :
 (** [fuel] is the per-request step ceiling (default
     {!Adt.Rewrite.default_fuel}); [timeout] the per-request wall-clock
     budget (default none); [cache_capacity] the per-slot LRU capacity
-    (default {!Adt.Rewrite.Memo.default_capacity}). A later
+    (default {!Adt.Rewrite.Memo.default_capacity}), which also bounds each
+    entry's in-memory table of stored meta payloads. A later
     specification with the name of an earlier one replaces it.
 
     [slowlog_ms] switches on the slow-request ring log: requests whose
@@ -59,10 +60,11 @@ val create :
 
     [store] plugs in the persistent on-disk result store: each
     specification's entry (keyed by {!Adt.Spec_digest.spec}) is loaded at
-    creation — the warm start — and normal forms, check/lint payloads and
-    testgen verdicts computed during the session are written back through
-    it (see {!persist_flush}). [env] resolves [uses] clauses when
-    document-session edits are parsed ({!docs}). *)
+    creation — the warm start — and normal forms that cost rewrite steps,
+    check/lint payloads, proofs and testgen verdicts computed during the
+    session are written back through it (see {!persist_flush}). [env]
+    resolves [uses] clauses when document-session edits are parsed
+    ({!docs}). *)
 
 val entry_spec : entry -> Adt.Spec.t
 
@@ -109,28 +111,36 @@ val store : t -> Persist.Store.t option
 
 val persist_find : entry -> Adt.Term.t -> (Adt.Interp.value * int) option
 (** The cached classification of the term's normal form plus the rewrite
-    steps the cold run paid, when the store (or this session, earlier)
-    has seen the term under this specification digest. Records loaded at
-    creation are not parsed there: they wait, as text, under the
-    {!Adt.Term.hash} their key was stored with. The first probe of a hash
-    (here or in {!persist_record}) verifies each record under it once:
-    its key is parsed and must have the hash it was filed under, and its
-    value is parsed. The records that pass keep their key term, so a
-    later probe is one physical comparison. A record that fails is
-    counted corrupt and never served. Records computed in this session
-    are keyed by {!Adt.Term.id} and keep no key term alive. *)
+    steps the cold run paid, when the records loaded at creation hold the
+    term under this specification digest. Those records are not parsed
+    there: they wait, as text, under the {!Adt.Term.hash} their key was
+    stored with. The first probe of a hash verifies each record under it
+    once: its key is parsed and must have the hash it was filed under,
+    and its value is parsed. The records that pass keep their key term,
+    so a later probe is one physical comparison. A record that fails is
+    counted corrupt and never served. Results computed in this process
+    are not found here: the interpreter's bounded memo caches them. *)
 
 val persist_record : t -> entry -> Adt.Term.t -> Adt.Interp.value -> int -> unit
-(** Remembers an evaluation outcome. [Diverged] is never recorded — a
-    larger fuel budget could still normalize the term. Buffered; written
-    back in batches and at {!persist_flush}. *)
+(** Files an evaluation outcome for later processes. Call it only after
+    {!persist_find} missed on the term: it does not probe again. Only an
+    evaluation that fired a rule ([steps > 0]) is filed. A 0-step one is
+    either a memo hit, whose first evaluation in this process was filed
+    if that term was a query root, or a term no rule rewrites; a later
+    process recomputes either at no rule cost with the same [steps=0]
+    reply. [Diverged] is never recorded — a larger fuel budget could
+    still normalize the term. Buffered; written back in batches and at
+    {!persist_flush}. *)
 
 val persist_meta_find : entry -> kind:string -> key:string -> string option
 val persist_meta_record : t -> entry -> kind:string -> key:string -> string -> unit
-(** Opaque response payloads (check/lint/testgen) under the same
-    digest-keyed entry. The first recording for a [(kind, key)] wins for
-    the life of the process; across processes the store's load keeps the
-    newest. *)
+(** Opaque response payloads (check/lint/proof/testgen) under the same
+    digest-keyed entry. The in-memory table holds at most [cache_capacity]
+    payloads and evicts the least recently used, since [prove] goals and
+    [testgen] keys are the client's choice; an evicted payload is
+    recomputed and filed again on its next request. While a [(kind, key)]
+    stays cached its first recording wins; across processes the store's
+    load keeps the newest. *)
 
 val persist_flush : t -> unit
 (** Appends every entry's buffered records to the store, one checksummed

@@ -1,7 +1,6 @@
 open Adt
 open Helpers
 
-let is_value spec t = Spec.is_constructor_term spec t || Term.is_error t
 let nat_precedence = Ordering.search_precedence (Ordering.search nat_spec)
 
 let test_canonical_spec_completes_unchanged () =
@@ -26,7 +25,7 @@ let test_joins_redundant_equation () =
   let outcome, _ =
     Completion.complete
       ~precedence:nat_precedence
-      ~is_value:(is_value nat_spec)
+      ~is_value:(Completion.is_value nat_spec)
       (Spec.axioms nat_spec @ [ redundant ])
   in
   match outcome with
@@ -40,7 +39,7 @@ let test_derives_missing_rule () =
   let outcome, _ =
     Completion.complete
       ~precedence:nat_precedence
-      ~is_value:(is_value nat_spec)
+      ~is_value:(Completion.is_value nat_spec)
       (Spec.axioms nat_spec @ [ extra ])
   in
   match outcome with
@@ -54,7 +53,7 @@ let test_detects_inconsistency () =
   let outcome, _ =
     Completion.complete
       ~precedence:nat_precedence
-      ~is_value:(is_value nat_spec)
+      ~is_value:(Completion.is_value nat_spec)
       (Spec.axioms nat_spec @ [ evil ])
   in
   match outcome with

@@ -29,6 +29,8 @@ let with_dir f =
 
 let digest_of s = Digest.to_hex (Digest.string s)
 
+let contains = Astring_contains.contains
+
 let record kind key value = { Persist.Store.kind; key; value }
 
 let records_t =
@@ -597,17 +599,22 @@ let test_forced_collision () =
   Alcotest.(check string) "b is computed, never served a's bucket" (expected b)
     (mask_steps (ask b));
   Alcotest.(check string) "a again" "ok normalize steps=0 ITEM1" (ask a);
-  Alcotest.(check string) "b again, from this session's record" (expected b)
-    (mask_steps (ask b));
+  let again = ask b in
+  Alcotest.(check string) "b again, from the memo" (expected b)
+    (mask_steps again);
+  Alcotest.(check bool) "a memo hit reports zero steps" true
+    (contains again "steps=0");
   let t = totals session in
-  Alcotest.(check (pair int int)) "hits and misses" (3, 1)
+  Alcotest.(check (pair int int)) "hits and misses" (2, 2)
     (t.Session.hits, t.Session.misses);
   Alcotest.(check int) "counted once" 1 t.Session.corrupt
 
 (* two genuine records in one bucket: under today's [Term.mix], F(F(t))
-   hashes like t, so [a] and [b] collide; each must be served its own *)
+   hashes like t, so [a] and [b] collide; each must be served its own.
+   Both fire rules, so both are filed. *)
 let test_real_collision () =
-  let a = "ADD(NEW, ITEM1)" and b = "REMOVE(REMOVE(ADD(NEW, ITEM1)))" in
+  let a = "REMOVE(ADD(ADD(NEW, ITEM1), ITEM2))"
+  and b = "REMOVE(REMOVE(REMOVE(ADD(ADD(NEW, ITEM1), ITEM2))))" in
   Alcotest.(check int) "a and b share a hash" (Term.hash (queue_term a))
     (Term.hash (queue_term b));
   with_dir @@ fun dir ->
@@ -670,9 +677,91 @@ let test_lazy_corruption () =
         (corrupt ()))
     [ a; b ]
 
-(* {1 Proof and lint persistence} *)
+(* {1 One bounded result cache}
 
-let contains = Astring_contains.contains
+   With a store attached, results computed in this process are cached
+   only by the bounded memo: the session's live heap does not grow with
+   the number of distinct requests, and a memoized repeat files no second
+   record. *)
+
+(* the [i]th of a family of distinct Queue requests: an observer over an
+   8-item queue whose items spell [i / 3] in base 4 *)
+let distinct_request i =
+  let q = ref "NEW" and n = ref (i / 3) in
+  for _ = 1 to 8 do
+    q := Fmt.str "ADD(%s, ITEM%d)" !q ((!n mod 4) + 1);
+    n := !n / 4
+  done;
+  Fmt.str "normalize Queue %s(%s)"
+    [| "FRONT"; "REMOVE"; "IS_EMPTY?" |].(i mod 3)
+    !q
+
+let live_words () =
+  Gc.full_major ();
+  (Gc.stat ()).Gc.live_words
+
+(* live words after requests [0, n) and then [0, 4n), the session kept
+   alive throughout *)
+let live_after ?store n =
+  let session =
+    Session.create ~cache_capacity:256 ?store [ Adt_specs.Queue_spec.spec ]
+  in
+  let run lo hi =
+    for i = lo to hi - 1 do
+      ignore (reply session (distinct_request i))
+    done;
+    live_words ()
+  in
+  let at_n = run 0 n in
+  let at_4n = run n (4 * n) in
+  Session.persist_flush session;
+  ignore (Sys.opaque_identity session);
+  (at_n, at_4n)
+
+(* A store may add only a constant: its pending buffer of at most one
+   flush's worth of records and its indexes. A table of every filed
+   result would add about 25 live words per distinct request here. Two
+   storeless warm-up passes first grow process-wide structures (the
+   intern table) to their steady size, so both measured runs see the
+   same ones. *)
+let test_live_words_bounded () =
+  let n = 2_000 and slack = 10_000 in
+  ignore (live_after n);
+  ignore (live_after n);
+  let bare_n, bare_4n = live_after n in
+  with_store @@ fun store ->
+  let store_n, store_4n = live_after ~store n in
+  List.iter
+    (fun (label, bare, stored) ->
+      Alcotest.(check bool)
+        (Fmt.str "%s: %d live words with a store, %d without" label stored
+           bare)
+        true
+        (stored - bare <= slack))
+    [ ("N requests", bare_n, store_n); ("4N requests", bare_4n, store_4n) ]
+
+let test_memoized_repeat_files_nothing () =
+  with_store @@ fun store ->
+  let spec = Adt_specs.Queue_spec.spec in
+  let session = Session.create ~store [ spec ] in
+  let digest = Spec_digest.spec spec in
+  let requests = List.init 30 distinct_request in
+  List.iter (fun r -> ignore (reply session r)) requests;
+  Session.persist_flush session;
+  let count () = List.length (Persist.Store.load store ~digest) in
+  let bytes () = (Persist.Store.stats store).Persist.Store.bytes in
+  let records = count () and size = bytes () in
+  Alcotest.(check int) "every request fired a rule and was filed" 30 records;
+  List.iter
+    (fun r ->
+      Alcotest.(check bool) (r ^ " repeats from the memo") true
+        (contains (reply session r) "steps=0"))
+    requests;
+  Session.persist_flush session;
+  Alcotest.(check int) "no record added" records (count ());
+  Alcotest.(check int) "no byte appended" size (bytes ())
+
+(* {1 Proof and lint persistence} *)
 
 let test_proof_persists_warm () =
   with_dir @@ fun dir ->
@@ -706,6 +795,24 @@ let test_proof_persists_warm () =
   | None -> Alcotest.fail "warm session has a store"
   | Some t -> Alcotest.(check bool) "miss counted" true (t.Session.misses > 0));
   Persist.Store.close store2
+
+(* client-chosen meta keys are bounded by the cache capacity: a payload
+   pushed out by a newer one is recomputed, never served stale *)
+let test_meta_bounded () =
+  with_store @@ fun store ->
+  let session =
+    Session.create ~cache_capacity:1 ~store [ Adt_specs.Queue_spec.spec ]
+  in
+  let g1 =
+    "prove Queue q:Queue,i:Item IS_EMPTY?(REMOVE(ADD(q, i))) == IS_EMPTY?(q)"
+  and g2 = "prove Queue i:Item FRONT(ADD(NEW, i)) == i" in
+  let first = reply session g1 in
+  Alcotest.(check bool) "g1 proved" true (contains first "proved");
+  Alcotest.(check bool) "g2 proved" true (contains (reply session g2) "proved");
+  Alcotest.(check string) "g1 again, recomputed alike" first (reply session g1);
+  let t = totals session in
+  Alcotest.(check (pair int int)) "hits and misses" (0, 3)
+    (t.Session.hits, t.Session.misses)
 
 (* a verdict persisted by an older analysis pass set lives under another
    kind; the current engine must re-analyse, not replay it *)
@@ -821,4 +928,10 @@ let suite =
       `Quick test_real_collision;
     Alcotest.test_case "a corrupt record is counted on first probe" `Quick
       test_lazy_corruption;
+    Alcotest.test_case "a store adds no live words per distinct request"
+      `Quick test_live_words_bounded;
+    Alcotest.test_case "a memoized repeat appends no record" `Quick
+      test_memoized_repeat_files_nothing;
+    Alcotest.test_case "stored payloads are bounded by the cache capacity"
+      `Quick test_meta_bounded;
   ]
