@@ -606,7 +606,7 @@ let memo_workload memo queries () =
   let memo = match memo with Some m -> m | None -> Rewrite.Memo.create () in
   List.fold_left
     (fun acc q ->
-      acc + Term.size (Rewrite.normalize_memo ~memo refinement_sys q))
+      acc + Term.size (Rewrite.normalize ~memo refinement_sys q))
     0 queries
 
 (* {1 E14 - spec-derived conformance suites: compile and run cost} *)

@@ -548,15 +548,20 @@ let normalize_cmd =
           in
           List.iter (fun e -> Fmt.pr "%a@." Adt.Rewrite.pp_event e) events;
           Fmt.pr "normal form: %a@." Adt.Term.pp nf;
-          if stats then print_stats !steps
+          if stats then print_stats !steps;
+          0
         end
         else if Adt.Term.is_ground term then begin
           let value, steps = Adt.Interp.eval_count interp term in
           Fmt.pr "%a@." Adt.Interp.pp_value value;
-          if stats then print_stats steps
+          if stats then print_stats steps;
+          (* running out of fuel is a failure however the term was given *)
+          match value with Adt.Interp.Diverged -> 1 | _ -> 0
         end
-        else Fmt.pr "%a@." Adt.Term.pp (Adt.Interp.reduce interp term);
-        0
+        else begin
+          Fmt.pr "%a@." Adt.Term.pp (Adt.Interp.reduce interp term);
+          0
+        end
       with Adt.Rewrite.Out_of_fuel partial ->
         Fmt.epr "diverged (out of fuel); last term: %a@." Adt.Term.pp partial;
         1)

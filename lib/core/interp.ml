@@ -52,22 +52,11 @@ let eval_count ?fuel ?poll ?on_rule t term =
     invalid_arg
       (Fmt.str "Interp.eval: term %a has free variables" Term.pp term);
   let fuel = Option.value ~default:t.fuel fuel in
-  let outcome =
-    match t.memo with
-    | None -> (
-      match Rewrite.normalize_count ~fuel ?poll ?on_rule t.system term with
-      | nf, steps -> Some (nf, steps)
-      | exception Rewrite.Out_of_fuel _ -> None)
-    | Some memo -> (
-      match
-        Rewrite.normalize_memo_count ~fuel ?poll ?on_rule ~memo t.system term
-      with
-      | nf, steps -> Some (nf, steps)
-      | exception Rewrite.Out_of_fuel _ -> None)
-  in
-  match outcome with
-  | None -> (Diverged, fuel)
-  | Some (nf, steps) -> (classify t.spec nf, steps)
+  match
+    Rewrite.normalize_count ?memo:t.memo ~fuel ?poll ?on_rule t.system term
+  with
+  | nf, steps -> (classify t.spec nf, steps)
+  | exception Rewrite.Out_of_fuel _ -> (Diverged, fuel)
 
 let eval ?fuel t term = fst (eval_count ?fuel t term)
 
@@ -85,9 +74,7 @@ let call t name args = eval t (apply t name args)
 
 let reduce ?fuel ?poll ?on_rule t term =
   let fuel = Option.value ~default:t.fuel fuel in
-  match t.memo with
-  | None -> Rewrite.normalize ~fuel ?poll ?on_rule t.system term
-  | Some memo -> Rewrite.normalize_memo ~fuel ?poll ?on_rule ~memo t.system term
+  Rewrite.normalize ?memo:t.memo ~fuel ?poll ?on_rule t.system term
 
 type memo_stats = {
   hits : int;

@@ -200,6 +200,39 @@ let metered ?(fuel = default_fuel) ?(poll = no_poll) ?on_rule ~on_apply term go
   in
   try go counted with Fuel_exhausted -> raise (Out_of_fuel term)
 
+module Term_lru = Lru.Make (struct
+  type t = Term.t
+
+  (* hash-consing makes structural equality physical and gives every term
+     a unique id: the memo keys on identity, no structural hashing at all *)
+  let equal = Term.equal
+  let hash = Term.id
+end)
+
+module Memo = struct
+  type t = {
+    cache : Term.t Term_lru.t;
+    mutable hits : int;
+    mutable misses : int;
+  }
+
+  let default_capacity = Term_lru.default_capacity
+
+  let create ?capacity () =
+    { cache = Term_lru.create ?capacity (); hits = 0; misses = 0 }
+
+  let clear m =
+    Term_lru.clear m.cache;
+    m.hits <- 0;
+    m.misses <- 0
+
+  let size m = Term_lru.length m.cache
+  let capacity m = Term_lru.capacity m.cache
+  let hits m = m.hits
+  let misses m = m.misses
+  let evictions m = Term_lru.evictions m.cache
+end
+
 (* {2 The fused innermost loop}
 
    Innermost normalization interleaved with template instantiation.
@@ -218,9 +251,25 @@ let metered ?(fuel = default_fuel) ?(poll = no_poll) ?on_rule ~on_apply term go
    same redexes in the same order, and skipped fetches contribute zero
    firings either way. The differential harness ([test/test_diff.ml])
    pins this equivalence — normal form {e and} step count — against
-   {!Reference} on every corpus specification. *)
+   {!Reference} on every corpus specification.
 
-let automaton_innermost ~on_apply sys term =
+   With a memo, the cache is consulted at application nodes of the
+   subject and at nodes the template {e constructs}; [Fetch]ed registers
+   are returned without even a probe (they are already normal — a probe
+   could only hit). Terms below [memo_cutoff] bypass the memo entirely: a
+   cache transaction (probe plus insert) costs about as much as
+   re-reducing a tiny term, so caching them burns time and capacity to
+   save neither. A sub-cutoff redex met twice is therefore reduced (and
+   charged) twice, so a memoized step count can exceed the count of a
+   loop that probes every node. Without a memo nothing is probed, and a
+   constructed node is matched before it is interned, so a node a fired
+   rule discards is never interned at all. *)
+
+let memo_cutoff = 8
+
+let innermost ?memo ?(fuel = default_fuel) ?(poll = no_poll) ?on_rule sys
+    term =
+  let remaining = ref fuel in
   let rec norm t =
     match Term.view t with
     | Term.Var _ | Term.Err _ -> t
@@ -237,41 +286,82 @@ let automaton_innermost ~on_apply sys term =
              condition (ground conditions always decide, so evaluation is
              unaffected) *)
           Term.ite_unchecked c' th el)
-    | Term.App (op, args) ->
-      let args' = List.map norm args in
-      if List.exists Term.is_error args' then Term.err (Op.result op)
-      else if List.for_all2 ( == ) args args' then reduce t
-      else reduce_app op args'
-  (* [t'] has normalized arguments: match at the root and, on success,
-     normalize the template rather than the instantiated reduct *)
-  and reduce t' =
-    match template_of sys t' with
-    | None -> t'
-    | Some (r, regs, builder) ->
-      on_apply r;
-      build regs builder
+    | Term.App (op, args) -> (
+      match memo with
+      | Some m when Term.size t >= memo_cutoff -> memoized m t op args None
+      | _ -> norm_app t op args)
+  (* the memo transaction: probe, and on a miss reduce [t] and insert its
+     normal form. [found] is [None] for a node of the subject, whose
+     arguments are normalized first, and the automaton of [t]'s head for a
+     node the template built from normal arguments *)
+  and memoized m t op args found =
+    match Term_lru.find m.Memo.cache t with
+    | Some nf ->
+      m.Memo.hits <- m.Memo.hits + 1;
+      nf
+    | None ->
+      m.Memo.misses <- m.Memo.misses + 1;
+      let nf =
+        match found with
+        | None -> norm_app t op args
+        | Some tree -> (
+          match Match_tree.run_template tree t with
+          | None -> t
+          | Some (r, regs, builder) -> apply r regs builder)
+      in
+      Term_lru.add m.Memo.cache t nf;
+      nf
+  and norm_app t op args =
+    let args' = List.map norm args in
+    if List.exists Term.is_error args' then Term.err (Op.result op)
+    else if List.for_all2 ( == ) args args' then
+      (* [t] has normalized arguments: match at the root and, on success,
+         normalize the template rather than the instantiated reduct *)
+      match template_of sys t with
+      | None -> t
+      | Some (r, regs, builder) -> apply r regs builder
+    else fire_app op args'
   (* the same, for an application not interned yet: a fired redex node is
      discarded immediately, so it is only interned when no rule matches
      and the node is the (normal-form) result *)
-  and reduce_app op args' =
+  and fire_app op args' =
     match Hashtbl.find_opt sys.trees (Op.name op) with
     | None -> Term.app_unchecked op args'
-    | Some tree -> (
-      match Match_tree.run_template_app tree op args' with
-      | None -> Term.app_unchecked op args'
-      | Some (r, regs, builder) ->
-        on_apply r;
-        build regs builder)
+    | Some tree -> fire_tree tree op args'
+  and fire_tree tree op args' =
+    match Match_tree.run_template_app tree op args' with
+    | None -> Term.app_unchecked op args'
+    | Some (r, regs, builder) -> apply r regs builder
+  (* one rule application: charge fuel, poll the deadline, attribute the
+     rule, then normalize its template *)
+  and apply r regs builder =
+    if !remaining <= 0 then raise Fuel_exhausted;
+    decr remaining;
+    poll ();
+    fire on_rule r;
+    build regs builder
   (* [build regs b = norm (Match_tree.instantiate regs b)], with the
      walk over already-normal fetched subterms elided *)
   and build regs = function
     | Match_tree.Ready t -> norm t (* ground, but may hold redexes *)
     | Match_tree.Fetch r -> regs.(r)
     | Match_tree.Fetch_frozen r -> norm regs.(r)
-    | Match_tree.Build_app (op, bs) ->
+    | Match_tree.Build_app (op, bs) -> (
       let args' = List.map (build regs) bs in
       if List.exists Term.is_error args' then Term.err (Op.result op)
-      else reduce_app op args'
+      else
+        (* a rule-less head with normal arguments is already a normal
+           form, and a tiny node costs as much to cache as to re-reduce:
+           neither touches the memo *)
+        match Hashtbl.find_opt sys.trees (Op.name op) with
+        | None -> Term.app_unchecked op args'
+        | Some tree as found -> (
+          match memo with
+          | Some m
+            when List.fold_left (fun n a -> n + Term.size a) 1 args'
+                 >= memo_cutoff ->
+            memoized m (Term.app_unchecked op args') op args' found
+          | _ -> fire_tree tree op args'))
     | Match_tree.Build_ite (c, a, b) -> (
       let c' = build regs c in
       if Term.equal c' Term.tt then build regs a
@@ -287,7 +377,16 @@ let automaton_innermost ~on_apply sys term =
             (Match_tree.instantiate regs a)
             (Match_tree.instantiate regs b))
   in
-  norm term
+  (* with a memo the root is probed whatever its size: the interpreter
+     and server session caches key whole queries through this entry
+     point, and a repeated query must hit even when it is tiny *)
+  match
+    match (memo, Term.view term) with
+    | Some m, Term.App (op, args) -> memoized m term op args None
+    | _ -> norm term
+  with
+  | nf -> (nf, fuel - !remaining)
+  | exception Fuel_exhausted -> raise (Out_of_fuel term)
 
 (* {1 The reference engine}
 
@@ -441,26 +540,25 @@ end
 
 (* {1 Entry points} *)
 
-let run ?(strategy = Innermost) ?fuel ?poll ?on_rule ~on_apply sys term =
-  metered ?fuel ?poll ?on_rule ~on_apply term (fun on_apply ->
-      match strategy with
-      | Innermost -> automaton_innermost ~on_apply sys term
-      | Outermost -> outermost ~on_apply sys term)
+let normalize_count ?(strategy = Innermost) ?memo ?fuel ?poll ?on_rule sys
+    term =
+  match strategy with
+  | Innermost -> innermost ?memo ?fuel ?poll ?on_rule sys term
+  | Outermost ->
+    let n = ref 0 in
+    let t =
+      metered ?fuel ?poll ?on_rule ~on_apply:(fun _ -> incr n) term
+        (fun on_apply -> outermost ~on_apply sys term)
+    in
+    (t, !n)
 
-let normalize ?strategy ?fuel ?poll ?on_rule sys term =
-  run ?strategy ?fuel ?poll ?on_rule ~on_apply:(fun _ -> ()) sys term
+let normalize ?strategy ?memo ?fuel ?poll ?on_rule sys term =
+  fst (normalize_count ?strategy ?memo ?fuel ?poll ?on_rule sys term)
 
-let normalize_opt ?strategy ?fuel ?poll ?on_rule sys term =
-  match normalize ?strategy ?fuel ?poll ?on_rule sys term with
+let normalize_opt ?strategy ?memo ?fuel ?poll ?on_rule sys term =
+  match normalize ?strategy ?memo ?fuel ?poll ?on_rule sys term with
   | t -> Some t
   | exception Out_of_fuel _ -> None
-
-let normalize_count ?strategy ?fuel ?poll ?on_rule sys term =
-  let n = ref 0 in
-  let t =
-    run ?strategy ?fuel ?poll ?on_rule ~on_apply:(fun _ -> incr n) sys term
-  in
-  (t, !n)
 
 let joinable ?strategy ?fuel sys a b =
   match
@@ -468,180 +566,6 @@ let joinable ?strategy ?fuel sys a b =
   with
   | Some na, Some nb -> Term.equal na nb
   | _ -> false
-
-module Term_lru = Lru.Make (struct
-  type t = Term.t
-
-  (* hash-consing makes structural equality physical and gives every term
-     a unique id: the memo keys on identity, no structural hashing at all *)
-  let equal = Term.equal
-  let hash = Term.id
-end)
-
-module Memo = struct
-  type t = {
-    cache : Term.t Term_lru.t;
-    mutable hits : int;
-    mutable misses : int;
-  }
-
-  let default_capacity = Term_lru.default_capacity
-
-  let create ?capacity () =
-    { cache = Term_lru.create ?capacity (); hits = 0; misses = 0 }
-
-  let clear m =
-    Term_lru.clear m.cache;
-    m.hits <- 0;
-    m.misses <- 0
-
-  let size m = Term_lru.length m.cache
-  let capacity m = Term_lru.capacity m.cache
-  let hits m = m.hits
-  let misses m = m.misses
-  let evictions m = Term_lru.evictions m.cache
-end
-
-(* the fused memo loop: the memo is consulted at application nodes of the
-   subject and at nodes the right-hand-side template {e constructs};
-   [Fetch]ed registers are returned without even a probe (they are
-   already normal — a probe could only hit). Terms below [memo_cutoff]
-   bypass the memo entirely: a cache transaction (probe plus insert)
-   costs about as much as re-reducing a tiny term, so caching them burns
-   time and capacity to save neither. A sub-cutoff redex met twice is
-   therefore reduced (and charged) twice, so a memoized step count can
-   exceed the count of a loop that probes every node. *)
-let memo_cutoff = 8
-
-let normalize_memo_count ?(fuel = default_fuel) ?(poll = no_poll) ?on_rule
-    ~memo sys term =
-  let remaining = ref fuel in
-  let rec norm t =
-    match Term.view t with
-    | Term.Var _ | Term.Err _ -> t
-    | Term.Ite (c, th, el) -> (
-      let c' = norm c in
-      if Term.equal c' Term.tt then norm th
-      else if Term.equal c' Term.ff then norm el
-      else
-        match Term.view c' with
-        | Term.Err _ -> Term.err (Term.sort_of th)
-        | _ -> Term.ite_unchecked c' th el)
-    | Term.App (op, args) when Term.size t >= memo_cutoff -> (
-      match Term_lru.find memo.Memo.cache t with
-      | Some nf ->
-        memo.Memo.hits <- memo.Memo.hits + 1;
-        nf
-      | None ->
-        memo.Memo.misses <- memo.Memo.misses + 1;
-        let nf = norm_app t op args in
-        Term_lru.add memo.Memo.cache t nf;
-        nf)
-    | Term.App (op, args) -> norm_app t op args
-  and norm_app t op args =
-    let args' = List.map norm args in
-    if List.exists Term.is_error args' then Term.err (Op.result op)
-    else if List.for_all2 ( == ) args args' then fire_at t
-    else fire_app op args'
-  (* [t'] has normalized arguments: match and normalize the template *)
-  and fire_at t' =
-    match template_of sys t' with
-    | None -> t'
-    | Some (r, regs, builder) ->
-      if !remaining <= 0 then raise (Out_of_fuel t');
-      decr remaining;
-      poll ();
-      fire on_rule r;
-      build regs builder
-  (* the same for an application not interned yet: when a rule fires the
-     node is discarded immediately, so it is interned only when no rule
-     matches and the node is the (normal-form) result *)
-  and fire_app op args' =
-    match Hashtbl.find_opt sys.trees (Op.name op) with
-    | None -> Term.app_unchecked op args'
-    | Some tree -> fire_tree tree op args'
-  and fire_tree tree op args' =
-    match Match_tree.run_template_app tree op args' with
-    | None -> Term.app_unchecked op args'
-    | Some (r, regs, builder) ->
-      if !remaining <= 0 then
-        raise (Out_of_fuel (Term.app_unchecked op args'));
-      decr remaining;
-      poll ();
-      fire on_rule r;
-      build regs builder
-  (* memo-probe the nodes the template constructs before reducing them;
-     tiny nodes reduce directly, bypassing the memo *)
-  and reduce_memo tree t' =
-    match Term_lru.find memo.Memo.cache t' with
-    | Some nf ->
-      memo.Memo.hits <- memo.Memo.hits + 1;
-      nf
-    | None ->
-      memo.Memo.misses <- memo.Memo.misses + 1;
-      let nf =
-        match Match_tree.run_template tree t' with
-        | None -> t'
-        | Some (r, regs, builder) ->
-          if !remaining <= 0 then raise (Out_of_fuel t');
-          decr remaining;
-          poll ();
-          fire on_rule r;
-          build regs builder
-      in
-      Term_lru.add memo.Memo.cache t' nf;
-      nf
-  and build regs = function
-    | Match_tree.Ready t -> norm t
-    | Match_tree.Fetch r -> regs.(r)
-    | Match_tree.Fetch_frozen r -> norm regs.(r)
-    | Match_tree.Build_app (op, bs) -> (
-      let args' = List.map (build regs) bs in
-      if List.exists Term.is_error args' then Term.err (Op.result op)
-      else
-        (* a rule-less head with normal arguments is already a normal
-           form, and a tiny node costs as much to cache as to re-reduce:
-           neither touches the memo, and neither ever interns a node
-           that a fired rule would discard *)
-        match Hashtbl.find_opt sys.trees (Op.name op) with
-        | None -> Term.app_unchecked op args'
-        | Some tree ->
-          let size = List.fold_left (fun n a -> n + Term.size a) 1 args' in
-          if size < memo_cutoff then fire_tree tree op args'
-          else reduce_memo tree (Term.app_unchecked op args'))
-    | Match_tree.Build_ite (c, a, b) -> (
-      let c' = build regs c in
-      if Term.equal c' Term.tt then build regs a
-      else if Term.equal c' Term.ff then build regs b
-      else
-        match Term.view c' with
-        | Term.Err _ -> Term.err (Term.sort_of (Match_tree.instantiate regs a))
-        | _ ->
-          Term.ite_unchecked c'
-            (Match_tree.instantiate regs a)
-            (Match_tree.instantiate regs b))
-  in
-  (* the root is memoized whatever its size: the interpreter and server
-     session caches key whole queries through this entry point, and a
-     repeated query must hit even when it is tiny *)
-  let nf =
-    match Term.view term with
-    | Term.App (op, args) when Term.size term < memo_cutoff -> (
-      match Term_lru.find memo.Memo.cache term with
-      | Some nf ->
-        memo.Memo.hits <- memo.Memo.hits + 1;
-        nf
-      | None ->
-        memo.Memo.misses <- memo.Memo.misses + 1;
-        let nf = norm_app term op args in
-        Term_lru.add memo.Memo.cache term nf;
-        nf)
-    | _ -> norm term
-  in
-  (nf, fuel - !remaining)
-
-let normalize_memo ?fuel ?poll ?on_rule ~memo sys term =
-  fst (normalize_memo_count ?fuel ?poll ?on_rule ~memo sys term)
 
 type event = {
   position : Term.position;
@@ -717,24 +641,6 @@ let trace ?(fuel = default_fuel) ?(max_events = 1_000) ?on_rule sys term =
   in
   let result = go term in
   (result, List.rev !events)
-
-type stats = { applications : (string * int) list; total : int }
-
-let normalize_stats ?strategy ?fuel sys term =
-  let counts : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  let total = ref 0 in
-  let on_apply r =
-    incr total;
-    let key = if String.equal r.rule_name "" then "<unnamed>" else r.rule_name in
-    Hashtbl.replace counts key
-      (1 + Option.value ~default:0 (Hashtbl.find_opt counts key))
-  in
-  let t = run ?strategy ?fuel ~on_apply sys term in
-  let applications =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  (t, { applications; total = !total })
 
 (* {1 The compiled-system cache}
 

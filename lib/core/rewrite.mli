@@ -15,13 +15,16 @@
     The reference strategy is leftmost-innermost, which matches the strict
     semantics. The leftmost-outermost strategy is also provided; it may
     normalize terms the innermost strategy sends to [error] (it enforces
-    strictness only on arguments in normal form), and is used by the
-    completion and proof machinery where laziness is harmless.
+    strictness only on arguments in normal form). Outside the tests its
+    only caller is {!Consistency}, which compares the two strategies on
+    ground terms.
 
     Redexes are located by a matching automaton ({!Match_tree}) compiled
-    once per system. {!Reference}, a naive linear-scan engine, is kept as
-    the test oracle; the differential harness in [test/test_diff.ml]
-    checks the two are observably identical. *)
+    once per system, and innermost normalization runs one loop that fuses
+    matching with right-hand-side instantiation, through an optional
+    normal-form cache ({!Memo}). {!Reference}, a naive linear-scan engine,
+    is kept as the test oracle; the differential harness in
+    [test/test_diff.ml] checks the two are observably identical. *)
 
 type rule = private { rule_name : string; lhs : Term.t; rhs : Term.t }
 
@@ -68,9 +71,46 @@ val size : system -> int
 type strategy = Innermost | Outermost
 
 exception Out_of_fuel of Term.t
-(** Raised when the step budget is exhausted; carries the term reached. *)
+(** Raised when the step budget is exhausted. The normalization entry
+    points ({!normalize}, {!normalize_count} and their {!Reference}
+    twins), memoized or not and under either strategy, carry the input
+    term; {!trace} carries the whole term it reached. *)
 
 val default_fuel : int
+
+(** {2 The normal-form memo}
+
+    An evaluation session (the symbolic interpreter, the model checker)
+    normalizes many terms sharing large subterms — e.g. draining a queue
+    evaluates [FRONT(q)] and [REMOVE(q)] over the same [q] again and
+    again. A memo passed to {!normalize} caches the normal form of the
+    query and of every application node it reduces (tiny interior nodes
+    excepted), bounded by a least-recently-used eviction policy ({!Lru})
+    so that long-lived sessions — the evaluation engine serving a request
+    stream — hold their footprint constant. A memo is only sound for the
+    system it was created against: results cached under one rule set must
+    not be reused under another. *)
+
+module Memo : sig
+  type t
+
+  val default_capacity : int
+
+  val create : ?capacity:int -> unit -> t
+  (** [capacity] (default {!default_capacity}) bounds the number of cached
+      normal forms; raises [Invalid_argument] when [capacity < 1]. *)
+
+  val clear : t -> unit
+  (** Drops every entry and resets all counters, evictions included. *)
+
+  val size : t -> int
+  (** Never exceeds {!capacity}. *)
+
+  val capacity : t -> int
+  val hits : t -> int
+  val misses : t -> int
+  val evictions : t -> int
+end
 
 (** {2 The deadline hook}
 
@@ -92,16 +132,21 @@ val default_fuel : int
 
 val normalize :
   ?strategy:strategy ->
+  ?memo:Memo.t ->
   ?fuel:int ->
   ?poll:(unit -> unit) ->
   ?on_rule:(string -> unit) ->
   system ->
   Term.t ->
   Term.t
-(** Raises {!Out_of_fuel}. *)
+(** Raises {!Out_of_fuel}. With [memo], innermost normalization goes
+    through the cache (the outermost strategy ignores it); an abort
+    raised by [poll] leaves the cache sound: every entry added so far is
+    a true normal form. *)
 
 val normalize_opt :
   ?strategy:strategy ->
+  ?memo:Memo.t ->
   ?fuel:int ->
   ?poll:(unit -> unit) ->
   ?on_rule:(string -> unit) ->
@@ -112,6 +157,7 @@ val normalize_opt :
 
 val normalize_count :
   ?strategy:strategy ->
+  ?memo:Memo.t ->
   ?fuel:int ->
   ?poll:(unit -> unit) ->
   ?on_rule:(string -> unit) ->
@@ -119,7 +165,10 @@ val normalize_count :
   Term.t ->
   Term.t * int
 (** Also returns the number of rule applications performed (builtin
-    error/ite steps are not counted). *)
+    error/ite steps are not counted). Through a memo only the rules
+    actually fired are counted: a fully cached term reports 0 and fires
+    [on_rule] not at all, since attribution counts real work, not cache
+    hits. *)
 
 val joinable :
   ?strategy:strategy -> ?fuel:int -> system -> Term.t -> Term.t -> bool
@@ -194,68 +243,3 @@ val trace :
     the same budget it normalizes in. Raises {!Out_of_fuel}. *)
 
 val pp_event : event Fmt.t
-
-(** {1 Memoized normalization}
-
-    An evaluation session (the symbolic interpreter, the model checker)
-    normalizes many terms sharing large subterms — e.g. draining a queue
-    evaluates [FRONT(q)] and [REMOVE(q)] over the same [q] again and
-    again. A memo caches the normal form of every application node it
-    sees, bounded by a least-recently-used eviction policy ({!Lru}) so
-    that long-lived sessions — the evaluation engine serving a request
-    stream — hold their footprint constant. A memo is only sound for the
-    system it was created against: results cached under one rule set must
-    not be reused under another. *)
-
-module Memo : sig
-  type t
-
-  val default_capacity : int
-
-  val create : ?capacity:int -> unit -> t
-  (** [capacity] (default {!default_capacity}) bounds the number of cached
-      normal forms; raises [Invalid_argument] when [capacity < 1]. *)
-
-  val clear : t -> unit
-  (** Drops every entry and resets all counters, evictions included. *)
-
-  val size : t -> int
-  (** Never exceeds {!capacity}. *)
-
-  val capacity : t -> int
-  val hits : t -> int
-  val misses : t -> int
-  val evictions : t -> int
-end
-
-val normalize_memo :
-  ?fuel:int ->
-  ?poll:(unit -> unit) ->
-  ?on_rule:(string -> unit) ->
-  memo:Memo.t ->
-  system ->
-  Term.t ->
-  Term.t
-(** Leftmost-innermost normalization through the cache. Raises
-    {!Out_of_fuel}. An abort raised by [poll] leaves the cache sound:
-    every entry added so far is a true normal form. *)
-
-val normalize_memo_count :
-  ?fuel:int ->
-  ?poll:(unit -> unit) ->
-  ?on_rule:(string -> unit) ->
-  memo:Memo.t ->
-  system ->
-  Term.t ->
-  Term.t * int
-(** {!normalize_memo}, also returning the number of rule applications
-    performed (a fully cached term reports 0 — and fires [on_rule] not
-    at all: attribution counts real work, not cache hits). *)
-
-(** {1 Statistics} *)
-
-type stats = { applications : (string * int) list; total : int }
-(** Rule-name to firing-count, for the benchmark harness. *)
-
-val normalize_stats :
-  ?strategy:strategy -> ?fuel:int -> system -> Term.t -> Term.t * stats

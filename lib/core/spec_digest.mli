@@ -21,11 +21,6 @@
     ([lib/persist]) and the identity relation of the document-session
     diff ({!Spec_diff}); [adtc hash] prints it. *)
 
-val term : Term.t -> string
-(** Canonical key for a term: its {!Term.to_string} rendering (parseable
-    back against the same specification, which is how the persist store
-    remaps cached normal forms onto fresh {!Term.id}s at load). *)
-
 val axiom : Axiom.t -> string
 (** Digest of the {e equation} alone — the axiom's name is deliberately
     excluded, so relabelling [\[4\]] to [\[5\]] does not invalidate

@@ -9,8 +9,10 @@
    dispatch, strict error propagation, lazy conditionals, and stuck terms
    alike. Both engines must produce the same normal form (physically and —
    independently — structurally), the same step count, the same
-   error-ness, and exhaust fuel on exactly the same terms; the memoized
-   path must reach the oracle's normal form as well.
+   error-ness, and exhaust fuel on exactly the same terms. There is one
+   fused innermost loop, with an optional memo: the agreement above is
+   checked without a memo, and the same loop given a fresh memo must
+   reach the oracle's normal form as well.
 
    The default run checks 1,000 terms per corpus spec; set
    [TEST_DIFF_LONG=1] (the weekly CI fuzz job does) to check 5,000. *)
@@ -63,7 +65,7 @@ let memo_agrees sys t =
   | None -> true
   | Some (nf, _) -> (
     let memo = Rewrite.Memo.create () in
-    match Rewrite.normalize_memo ~fuel ~memo sys t with
+    match Rewrite.normalize ~memo ~fuel sys t with
     | nf' -> Term.equal nf nf'
     | exception Rewrite.Out_of_fuel _ -> false)
 

@@ -14,7 +14,7 @@ let test_memo_agrees_with_plain () =
           check_term
             (Fmt.str "agree on %a" Term.pp t)
             (Rewrite.normalize sys t)
-            (Rewrite.normalize_memo ~memo sys t))
+            (Rewrite.normalize ~memo sys t))
         [ Queue_spec.front q; Queue_spec.remove q; Queue_spec.is_empty q ])
     (Enum.terms_up_to u Queue_spec.sort ~size:9)
 
@@ -22,9 +22,9 @@ let test_memo_hits_on_repetition () =
   let memo = Rewrite.Memo.create () in
   let sys = Rewrite.of_spec Queue_spec.spec in
   let q = Queue_spec.of_items [ Builtins.item 1; Builtins.item 2; Builtins.item 3 ] in
-  let (_ : Term.t) = Rewrite.normalize_memo ~memo sys (Queue_spec.front q) in
+  let (_ : Term.t) = Rewrite.normalize ~memo sys (Queue_spec.front q) in
   let before = Rewrite.Memo.hits memo in
-  let (_ : Term.t) = Rewrite.normalize_memo ~memo sys (Queue_spec.front q) in
+  let (_ : Term.t) = Rewrite.normalize ~memo sys (Queue_spec.front q) in
   Alcotest.(check bool) "second run hits" true (Rewrite.Memo.hits memo > before);
   Alcotest.(check bool) "entries cached" true (Rewrite.Memo.size memo > 0);
   Rewrite.Memo.clear memo;
@@ -60,26 +60,26 @@ let test_memo_error_propagation () =
   let sys = Rewrite.of_spec Queue_spec.spec in
   let t = Queue_spec.is_empty (Queue_spec.remove Queue_spec.new_) in
   Alcotest.(check bool) "error" true
-    (Term.is_error (Rewrite.normalize_memo ~memo sys t));
+    (Term.is_error (Rewrite.normalize ~memo sys t));
   (* and again, from the cache *)
   Alcotest.(check bool) "error (cached)" true
-    (Term.is_error (Rewrite.normalize_memo ~memo sys t))
+    (Term.is_error (Rewrite.normalize ~memo sys t))
 
 let test_memo_open_terms () =
   let memo = Rewrite.Memo.create () in
   check_term "open term"
     (v "n")
-    (Rewrite.normalize_memo ~memo nat_system (plus z (v "n")));
+    (Rewrite.normalize ~memo nat_system (plus z (v "n")));
   (* cached result for the open term is still correct *)
   check_term "open term again"
     (v "n")
-    (Rewrite.normalize_memo ~memo nat_system (plus z (v "n")))
+    (Rewrite.normalize ~memo nat_system (plus z (v "n")))
 
 let test_memo_fuel () =
   let loop = Rewrite.rule ~name:"loop" ~lhs:(isz (v "x")) ~rhs:(isz (s (v "x"))) () in
   let sys = Rewrite.of_rules [ loop ] in
   let memo = Rewrite.Memo.create () in
-  match Rewrite.normalize_memo ~fuel:50 ~memo sys (isz z) with
+  match Rewrite.normalize ~memo ~fuel:50 sys (isz z) with
   | exception Rewrite.Out_of_fuel _ -> ()
   | t -> Alcotest.failf "terminated at %a" Term.pp t
 
@@ -96,7 +96,7 @@ let test_memo_bounded_agrees () =
           check_term
             (Fmt.str "agree under eviction on %a" Term.pp t)
             (Rewrite.normalize sys t)
-            (Rewrite.normalize_memo ~memo sys t);
+            (Rewrite.normalize ~memo sys t);
           Alcotest.(check bool) "size bounded" true (Rewrite.Memo.size memo <= 8))
         [ Queue_spec.front q; Queue_spec.remove q; Queue_spec.is_empty q ])
     (Enum.terms_up_to u Queue_spec.sort ~size:9);
@@ -110,9 +110,9 @@ let test_memo_count () =
   let memo = Rewrite.Memo.create () in
   let sys = Rewrite.of_spec Queue_spec.spec in
   let q = Queue_spec.of_items [ Builtins.item 1; Builtins.item 2 ] in
-  let nf1, steps1 = Rewrite.normalize_memo_count ~memo sys (Queue_spec.front q) in
+  let nf1, steps1 = Rewrite.normalize_count ~memo sys (Queue_spec.front q) in
   Alcotest.(check bool) "first run rewrites" true (steps1 > 0);
-  let nf2, steps2 = Rewrite.normalize_memo_count ~memo sys (Queue_spec.front q) in
+  let nf2, steps2 = Rewrite.normalize_count ~memo sys (Queue_spec.front q) in
   check_term "same normal form" nf1 nf2;
   Alcotest.(check int) "cached run is free" 0 steps2
 
@@ -130,6 +130,6 @@ let suite =
     case "open terms are cached correctly" test_memo_open_terms;
     case "fuel still bounds memoized runs" test_memo_fuel;
     case "eviction never changes answers" test_memo_bounded_agrees;
-    case "normalize_memo_count counts applications" test_memo_count;
+    case "memoized step counting" test_memo_count;
     case "non-positive capacity rejected" test_memo_invalid_capacity;
   ]

@@ -57,6 +57,34 @@ let test_out_of_fuel () =
   | exception Rewrite.Out_of_fuel _ -> ()
   | t -> Alcotest.failf "terminated at %a" Term.pp t
 
+(* every normalization entry point carries the term it was given, with or
+   without a memo, under either strategy, in the engine and in the oracle;
+   only a trace carries the term it reached *)
+let test_out_of_fuel_payload () =
+  let loop = Rewrite.rule ~name:"loop" ~lhs:(isz (v "x")) ~rhs:(isz (s (v "x"))) () in
+  let sys = Rewrite.of_rules [ loop ] in
+  let t = isz z and fuel = 20 in
+  let payload f =
+    match f () with
+    | _ -> Alcotest.fail "terminated"
+    | exception Rewrite.Out_of_fuel reached -> reached
+  in
+  List.iter
+    (fun (label, f) -> check_term label t (payload f))
+    [
+      ("innermost", fun () -> Rewrite.normalize ~fuel sys t);
+      ( "innermost, memoized",
+        fun () -> Rewrite.normalize ~memo:(Rewrite.Memo.create ()) ~fuel sys t );
+      ( "outermost",
+        fun () -> Rewrite.normalize ~strategy:Rewrite.Outermost ~fuel sys t );
+      ("reference innermost", fun () -> Rewrite.Reference.normalize ~fuel sys t);
+      ( "reference outermost",
+        fun () ->
+          Rewrite.Reference.normalize ~strategy:Rewrite.Outermost ~fuel sys t );
+    ];
+  check_term "trace" (isz (church fuel))
+    (payload (fun () -> fst (Rewrite.trace ~fuel sys t)))
+
 let test_normalize_count () =
   let _, n = Rewrite.normalize_count nat_system (plus (church 3) z) in
   (* ps fires 3 times, then p0 once *)
@@ -125,13 +153,21 @@ let test_is_normal_form () =
   Alcotest.(check bool) "inner redex" false
     (Rewrite.is_normal_form nat_system (s (plus z z)))
 
+(* per-rule firing counts, through the [on_rule] attribution hook *)
 let test_stats () =
-  let _, stats = Rewrite.normalize_stats nat_system (plus (church 2) (church 2)) in
-  Alcotest.(check int) "total" 3 stats.Rewrite.total;
+  let counts = Hashtbl.create 4 in
+  let on_rule name =
+    Hashtbl.replace counts name
+      (1 + Option.value ~default:0 (Hashtbl.find_opt counts name))
+  in
+  let _, total =
+    Rewrite.normalize_count ~on_rule nat_system (plus (church 2) (church 2))
+  in
+  Alcotest.(check int) "total" 3 total;
   Alcotest.(check (list (pair string int)))
     "per rule"
     [ ("p0", 1); ("ps", 2) ]
-    stats.Rewrite.applications
+    (List.sort compare (List.of_seq (Hashtbl.to_seq counts)))
 
 let test_rule_validation () =
   (match Rewrite.rule ~lhs:(v "x") ~rhs:z () with
@@ -161,6 +197,7 @@ let suite =
     case "stuck conditionals freeze their branches" test_stuck_ite_frozen;
     case "added rules take priority" test_rule_priority;
     case "fuel exhaustion" test_out_of_fuel;
+    case "out of fuel carries the input" test_out_of_fuel_payload;
     case "rule application counting" test_normalize_count;
     case "joinability" test_joinable;
     case "single steps and traces" test_step_and_trace;
