@@ -72,20 +72,6 @@ let report_group ?stabilize title tests =
 
 (* machine-readable results, so the perf trajectory can be tracked across
    revisions: [{"experiment": "e1", "name": "...", "ns_per_op": 123.4}] *)
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Fmt.str "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let experiment_of name =
   match String.index_opt name '/' with
   | Some i -> String.sub name 0 i
@@ -100,9 +86,9 @@ let write_json path =
       List.iteri
         (fun i (name, ns) ->
           Printf.fprintf oc
-            "  {\"experiment\": \"%s\", \"name\": \"%s\", \"ns_per_op\": %.2f}%s\n"
-            (json_escape (experiment_of name))
-            (json_escape name)
+            "  {\"experiment\": %s, \"name\": %s, \"ns_per_op\": %.2f}%s\n"
+            (Analysis.Render.json_string (experiment_of name))
+            (Analysis.Render.json_string name)
             (if Float.is_nan ns then -1. else ns)
             (if i = List.length !json_rows - 1 then "" else ","))
         !json_rows;
@@ -817,10 +803,12 @@ let e16 () =
   in
   let edited = e16_queue_source "FRONT(ADD(q, i)) = i" in
   let v1 = doc_exn (Docsession.Manager.open_doc mgr ~name:"queue" ~source:base) in
-  let v2 =
-    doc_exn (Docsession.Manager.edit mgr ~name:"queue" ~source:relabelled)
+  let edit source =
+    doc_exn
+      (Result.map_error snd (Docsession.Manager.edit mgr ~name:"queue" ~source))
   in
-  let v3 = doc_exn (Docsession.Manager.edit mgr ~name:"queue" ~source:edited) in
+  let v2 = edit relabelled in
+  let v3 = edit edited in
   let s1 = v1.Docsession.Manager.summary
   and s2 = v2.Docsession.Manager.summary
   and s3 = v3.Docsession.Manager.summary in
@@ -995,8 +983,8 @@ let write_e18 path =
       List.iteri
         (fun i (name, ns) ->
           Printf.fprintf oc
-            "  {\"experiment\": \"e18\", \"name\": \"%s\", \"ns_per_op\": %.2f}%s\n"
-            (json_escape name)
+            "  {\"experiment\": \"e18\", \"name\": %s, \"ns_per_op\": %.2f}%s\n"
+            (Analysis.Render.json_string name)
             (if Float.is_nan ns then -1. else ns)
             (if i = List.length rows - 1 then "" else ","))
         rows;

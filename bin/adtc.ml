@@ -260,25 +260,6 @@ let lint_cmd =
       const run $ lib_arg $ all_flag $ files_arg $ format_arg $ deny_arg
       $ rule_arg $ fuel_opt)
 
-(* minimal JSON rendering for --json output; mirrors the lint JSON-lines
-   shape (one object per report per line) *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_str s = "\"" ^ json_escape s ^ "\""
-
 let testgen_cmd =
   let spec_arg =
     Arg.(
@@ -342,19 +323,20 @@ let testgen_cmd =
   in
   let report_json r =
     let open Testgen.Harness in
+    let str = Analysis.Render.json_string in
     let witness_json = function
       | Denotation { lhs; rhs } ->
         Fmt.str "{\"kind\":\"denotation\",\"lhs\":%s,\"rhs\":%s}"
-          (json_str (Adt.Term.to_string lhs))
-          (json_str (Adt.Term.to_string rhs))
+          (str (Adt.Term.to_string lhs))
+          (str (Adt.Term.to_string rhs))
       | Observation { context; lhs; rhs } ->
         Fmt.str
           "{\"kind\":\"observation\",\"context\":%s,\"lhs\":%s,\"rhs\":%s}"
-          (json_str (Adt.Term.to_string context))
-          (json_str (Adt.Term.to_string lhs))
-          (json_str (Adt.Term.to_string rhs))
+          (str (Adt.Term.to_string context))
+          (str (Adt.Term.to_string lhs))
+          (str (Adt.Term.to_string rhs))
       | Crash { message } ->
-        Fmt.str "{\"kind\":\"crash\",\"message\":%s}" (json_str message)
+        Fmt.str "{\"kind\":\"crash\",\"message\":%s}" (str message)
     in
     let axiom_json ar =
       let failure =
@@ -364,7 +346,7 @@ let testgen_cmd =
           Fmt.str
             "{\"seed\":%d,\"shrunk\":%b,\"valuation\":%s,\"witness\":%s}"
             f.fail_seed f.shrunk
-            (json_str
+            (str
                (String.concat "; "
                   (List.map
                      (fun (x, t) ->
@@ -374,14 +356,14 @@ let testgen_cmd =
       in
       Fmt.str
         "{\"axiom\":%s,\"trials\":%d,\"discards\":%d,\"failure\":%s}"
-        (json_str (Adt.Axiom.name ar.axiom))
+        (str (Adt.Axiom.name ar.axiom))
         ar.trials ar.discards failure
     in
     Fmt.str
       "{\"spec\":%s,\"impl\":%s,\"mutant_of\":%s,\"seed\":%d,\"count\":%d,\
        \"gen_size\":%d,\"passed\":%b,\"axioms\":[%s]}"
-      (json_str r.spec_name) (json_str r.impl_name)
-      (match r.mutant_of with None -> "null" | Some c -> json_str c)
+      (str r.spec_name) (str r.impl_name)
+      (match r.mutant_of with None -> "null" | Some c -> str c)
       r.seed r.count r.gen_size (passed r)
       (String.concat "," (List.map axiom_json r.axiom_reports))
   in
@@ -765,18 +747,19 @@ let hash_cmd =
   in
   let run libs file json =
     let specs = load_specs ~lib:(load_library libs) file in
+    let str = Analysis.Render.json_string in
     List.iter
       (fun spec ->
         if json then
           Fmt.pr "{\"spec\":%s,\"digest\":%s,\"signature\":%s,\"axioms\":[%s]}@."
-            (json_str (Adt.Spec.name spec))
-            (json_str (Adt.Spec_digest.spec spec))
-            (json_str (Adt.Spec_digest.signature_digest spec))
+            (str (Adt.Spec.name spec))
+            (str (Adt.Spec_digest.spec spec))
+            (str (Adt.Spec_digest.signature_digest spec))
             (String.concat ","
                (List.map
                   (fun (name, digest) ->
-                    Fmt.str "{\"axiom\":%s,\"digest\":%s}" (json_str name)
-                      (json_str digest))
+                    Fmt.str "{\"axiom\":%s,\"digest\":%s}" (str name)
+                      (str digest))
                   (Adt.Spec_digest.axioms spec)))
         else Fmt.pr "%s  %s@." (Adt.Spec_digest.spec spec) (Adt.Spec.name spec))
       specs;
@@ -906,7 +889,7 @@ let session_cmd =
           | [] -> 0
           | edit :: rest -> (
             match Docsession.Manager.edit mgr ~name ~source:(read_file edit) with
-            | Error e ->
+            | Error (_, e) ->
               Fmt.epr "adtc session (%s): %s@." edit e;
               1
             | Ok doc ->
@@ -1094,16 +1077,22 @@ let batch_cmd =
       $ cache_capacity_arg $ slowlog_ms_arg $ slowlog_capacity_arg
       $ cache_dir_arg $ cache_max_bytes_arg $ requests_arg)
 
+(* a session-edit body is read off the script by the dispatcher, as
+   [adtc batch] and the socket server read it off their transport *)
 let replay_requests session path =
   let ic = open_in path in
+  let read_line () = In_channel.input_line ic in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () ->
-      try
-        while true do
-          ignore (Engine.Dispatch.handle_line session (input_line ic))
-        done
-      with End_of_file -> ())
+      let rec loop () =
+        match read_line () with
+        | None -> ()
+        | Some line ->
+          ignore (Engine.Dispatch.handle_line ~read_line session line);
+          loop ()
+      in
+      loop ())
 
 let engine_trace_cmd =
   let request_arg =

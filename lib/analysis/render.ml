@@ -1,8 +1,9 @@
 (* JSON is assembled by hand: the findings are flat records and pulling in a
    JSON library for them would be the only use in the whole repository. *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
+let json_string s =
+  let b = Buffer.create (String.length s + 10) in
+  Buffer.add_char b '"';
   String.iter
     (fun c ->
       match c with
@@ -15,10 +16,10 @@ let json_escape s =
         Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char b c)
     s;
+  Buffer.add_char b '"';
   Buffer.contents b
 
-let jstr s = Printf.sprintf "\"%s\"" (json_escape s)
-let jopt = function None -> "null" | Some s -> jstr s
+let jopt = function None -> "null" | Some s -> json_string s
 
 let flatten groups =
   List.concat_map
@@ -54,13 +55,13 @@ let text groups =
 let json_of_finding file (d : Diagnostic.t) =
   Printf.sprintf
     "{\"file\":%s,\"code\":%s,\"slug\":%s,\"severity\":%s,\"spec\":%s,\"op\":%s,\"axiom\":%s,\"message\":%s,\"suggestion\":%s}"
-    (jstr file) (jstr d.code)
-    (jstr (Diagnostic.slug_of_code d.code))
-    (jstr (Diagnostic.severity_name d.severity))
-    (jstr d.locus.Diagnostic.spec)
+    (json_string file) (json_string d.code)
+    (json_string (Diagnostic.slug_of_code d.code))
+    (json_string (Diagnostic.severity_name d.severity))
+    (json_string d.locus.Diagnostic.spec)
     (jopt d.locus.Diagnostic.op)
     (jopt d.locus.Diagnostic.axiom)
-    (jstr d.message) (jopt d.suggestion)
+    (json_string d.message) (jopt d.suggestion)
 
 let json_lines groups =
   String.concat "\n"
@@ -74,8 +75,8 @@ let sarif_level = function
 let sarif_rule (r : Diagnostic.rule_info) =
   Printf.sprintf
     "{\"id\":%s,\"name\":%s,\"shortDescription\":{\"text\":%s},\"defaultConfiguration\":{\"level\":%s}}"
-    (jstr r.rule_code) (jstr r.slug) (jstr r.summary)
-    (jstr (sarif_level r.default_severity))
+    (json_string r.rule_code) (json_string r.slug) (json_string r.summary)
+    (json_string (sarif_level r.default_severity))
 
 let sarif_result file (d : Diagnostic.t) =
   let logical =
@@ -83,7 +84,7 @@ let sarif_result file (d : Diagnostic.t) =
     | None -> ""
     | Some op ->
       Printf.sprintf ",\"logicalLocations\":[{\"name\":%s,\"kind\":\"function\"}]"
-        (jstr op)
+        (json_string op)
   in
   let message =
     match d.suggestion with
@@ -92,9 +93,9 @@ let sarif_result file (d : Diagnostic.t) =
   in
   Printf.sprintf
     "{\"ruleId\":%s,\"level\":%s,\"message\":{\"text\":%s},\"locations\":[{\"physicalLocation\":{\"artifactLocation\":{\"uri\":%s}}%s}]}"
-    (jstr d.code)
-    (jstr (sarif_level d.severity))
-    (jstr message) (jstr file) logical
+    (json_string d.code)
+    (json_string (sarif_level d.severity))
+    (json_string message) (json_string file) logical
 
 let sarif groups =
   let rules = String.concat "," (List.map sarif_rule Diagnostic.rules) in

@@ -17,3 +17,8 @@ val sarif : (string * Diagnostic.t list) list -> string
     every rule of {!Diagnostic.rules} and whose results carry the file as
     the physical location and the operation as a logical location.
     Severity maps to SARIF levels as error/warning and [Info] to [note]. *)
+
+val json_string : string -> string
+(** [s] as a quoted JSON string literal: quotes, backslashes and control
+    characters escaped. The one escaper of the command line and the
+    benchmark harness. *)

@@ -133,36 +133,3 @@ let inconsistencies spec report =
     report.pairs
 
 let is_consistent spec report = inconsistencies spec report = []
-
-let ground_strategy_agreement ?fuel universe ~size =
-  let spec = Enum.spec universe in
-  let sys = Rewrite.of_spec spec in
-  let exception Disagree of Term.t in
-  let check_term t =
-    match
-      ( Rewrite.normalize_opt ?fuel ~strategy:Rewrite.Innermost sys t,
-        Rewrite.normalize_opt ?fuel ~strategy:Rewrite.Outermost sys t )
-    with
-    | Some a, Some b when Term.equal a b -> ()
-    | Some _, Some _ -> raise (Disagree t)
-    | _ -> () (* fuel ran out on one side: no verdict *)
-  in
-  let checked = ref 0 in
-  try
-    List.iter
-      (fun op ->
-        let arg_choices =
-          List.map (fun s -> Enum.terms_up_to universe s ~size) (Op.args op)
-        in
-        let rec product acc = function
-          | [] ->
-            incr checked;
-            check_term (Term.app op (List.rev acc))
-          | choices :: rest ->
-            List.iter (fun c -> product (c :: acc) rest) choices
-        in
-        if List.for_all (fun c -> c <> []) arg_choices then
-          product [] arg_choices)
-      (Spec.observers spec);
-    Ok !checked
-  with Disagree t -> Error t

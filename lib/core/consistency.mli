@@ -56,18 +56,3 @@ val is_consistent : Spec.t -> report -> bool
 (** [inconsistencies] is empty. A [true] verdict is relative: divergence
     between non-value terms is reported but not counted as proof of
     inconsistency. *)
-
-(** {1 Ground cross-checks}
-
-    Critical pairs certify local confluence symbolically; these checks
-    attack the same property from below, by brute force over the
-    enumerated ground universe. They catch strategy-dependence that an
-    orthogonal-looking system might still hide (e.g. through the
-    non-left-linear interplay of error propagation). *)
-
-val ground_strategy_agreement :
-  ?fuel:int -> Enum.universe -> size:int -> (int, Term.t) result
-(** Normalizes every observer application over every ground constructor
-    term of each sort (arguments up to [size]) with both the innermost and
-    the outermost strategy and compares. [Ok n] is the number of terms
-    checked; [Error t] is a term on which the strategies disagree. *)

@@ -123,54 +123,6 @@ let template_of sys t =
     | Some tree -> Match_tree.run_template tree t)
   | _ -> None
 
-(* One leftmost-outermost step, or None. *)
-let rec outer_step sys t =
-  match Term.view t with
-  | Term.Var _ | Term.Err _ -> None
-  | Term.Ite (c, th, el) -> (
-    if Term.equal c Term.tt then Some (th, "<if>")
-    else if Term.equal c Term.ff then Some (el, "<if>")
-    else
-      match Term.view c with
-      | Term.Err _ -> Some (Term.err (Term.sort_of th), "<error>")
-      | _ -> (
-        (* branches of a stuck conditional are frozen, as in innermost
-           normalization: otherwise recursive definitions would unfold
-           without bound under an undecided condition *)
-        match outer_step sys c with
-        | Some (c', n) -> Some (Term.ite_unchecked c' th el, n)
-        | None -> None))
-  | Term.App (op, args) -> (
-    if List.exists Term.is_error args then
-      Some (Term.err (Op.result op), "<error>")
-    else
-      match find_automaton sys t with
-      | Some (r, reduct) -> Some (reduct, r.rule_name)
-      | None ->
-        let rec step_child i = function
-          | [] -> None
-          | a :: rest -> (
-            match outer_step sys a with
-            | Some (a', n) ->
-              let args' =
-                List.mapi (fun j x -> if j = i then a' else x) args
-              in
-              Some (Term.app_unchecked op args', n)
-            | None -> step_child (i + 1) rest)
-        in
-        step_child 0 args)
-
-let outermost ~on_apply sys term =
-  let rec go t =
-    match outer_step sys t with
-    | None -> t
-    | Some (t', name) ->
-      if not (is_builtin name) then
-        on_apply { rule_name = name; lhs = t; rhs = t' };
-      go t'
-  in
-  go term
-
 exception Fuel_exhausted
 
 let no_poll () = ()
@@ -540,30 +492,18 @@ end
 
 (* {1 Entry points} *)
 
-let normalize_count ?(strategy = Innermost) ?memo ?fuel ?poll ?on_rule sys
-    term =
-  match strategy with
-  | Innermost -> innermost ?memo ?fuel ?poll ?on_rule sys term
-  | Outermost ->
-    let n = ref 0 in
-    let t =
-      metered ?fuel ?poll ?on_rule ~on_apply:(fun _ -> incr n) term
-        (fun on_apply -> outermost ~on_apply sys term)
-    in
-    (t, !n)
+let normalize_count = innermost
 
-let normalize ?strategy ?memo ?fuel ?poll ?on_rule sys term =
-  fst (normalize_count ?strategy ?memo ?fuel ?poll ?on_rule sys term)
+let normalize ?memo ?fuel ?poll ?on_rule sys term =
+  fst (normalize_count ?memo ?fuel ?poll ?on_rule sys term)
 
-let normalize_opt ?strategy ?memo ?fuel ?poll ?on_rule sys term =
-  match normalize ?strategy ?memo ?fuel ?poll ?on_rule sys term with
+let normalize_opt ?memo ?fuel ?poll ?on_rule sys term =
+  match normalize ?memo ?fuel ?poll ?on_rule sys term with
   | t -> Some t
   | exception Out_of_fuel _ -> None
 
-let joinable ?strategy ?fuel sys a b =
-  match
-    (normalize_opt ?strategy ?fuel sys a, normalize_opt ?strategy ?fuel sys b)
-  with
+let joinable ?fuel sys a b =
+  match (normalize_opt ?fuel sys a, normalize_opt ?fuel sys b) with
   | Some na, Some nb -> Term.equal na nb
   | _ -> false
 

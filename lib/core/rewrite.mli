@@ -12,19 +12,17 @@
       [FRONT(ADD(q,i)) = if IS_EMPTY?(q) then i else FRONT(q)] do not poison
       themselves through [FRONT(NEW) = error]).
 
-    The reference strategy is leftmost-innermost, which matches the strict
-    semantics. The leftmost-outermost strategy is also provided; it may
-    normalize terms the innermost strategy sends to [error] (it enforces
-    strictness only on arguments in normal form). Outside the tests its
-    only caller is {!Consistency}, which compares the two strategies on
-    ground terms.
-
-    Redexes are located by a matching automaton ({!Match_tree}) compiled
-    once per system, and innermost normalization runs one loop that fuses
-    matching with right-hand-side instantiation, through an optional
-    normal-form cache ({!Memo}). {!Reference}, a naive linear-scan engine,
-    is kept as the test oracle; the differential harness in
-    [test/test_diff.ml] checks the two are observably identical. *)
+    Normalization is leftmost-innermost, which matches the strict
+    semantics. Redexes are located by a matching automaton ({!Match_tree})
+    compiled once per system, and one loop fuses matching with
+    right-hand-side instantiation, through an optional normal-form cache
+    ({!Memo}). {!Reference}, a naive linear-scan engine, is kept as the
+    test oracle; the differential harness in [test/test_diff.ml] checks
+    the two are observably identical. The oracle also offers the
+    leftmost-outermost strategy, which may normalize terms the innermost
+    strategy sends to [error] (it enforces strictness only on arguments
+    in normal form); the tests compare the two strategies on ground
+    terms. *)
 
 type rule = private { rule_name : string; lhs : Term.t; rhs : Term.t }
 
@@ -68,13 +66,13 @@ val add_axioms : Axiom.t list -> system -> system
 val rules : system -> rule list
 val size : system -> int
 
-type strategy = Innermost | Outermost
+type strategy = Innermost | Outermost  (** {!Reference}'s strategies. *)
 
 exception Out_of_fuel of Term.t
 (** Raised when the step budget is exhausted. The normalization entry
     points ({!normalize}, {!normalize_count} and their {!Reference}
-    twins), memoized or not and under either strategy, carry the input
-    term; {!trace} carries the whole term it reached. *)
+    twins), memoized or not and under either {!Reference} strategy, carry
+    the input term; {!trace} carries the whole term it reached. *)
 
 val default_fuel : int
 
@@ -131,7 +129,6 @@ end
     one option test per application; it must not raise. *)
 
 val normalize :
-  ?strategy:strategy ->
   ?memo:Memo.t ->
   ?fuel:int ->
   ?poll:(unit -> unit) ->
@@ -139,13 +136,11 @@ val normalize :
   system ->
   Term.t ->
   Term.t
-(** Raises {!Out_of_fuel}. With [memo], innermost normalization goes
-    through the cache (the outermost strategy ignores it); an abort
-    raised by [poll] leaves the cache sound: every entry added so far is
-    a true normal form. *)
+(** Raises {!Out_of_fuel}. With [memo], normalization goes through the
+    cache; an abort raised by [poll] leaves the cache sound: every entry
+    added so far is a true normal form. *)
 
 val normalize_opt :
-  ?strategy:strategy ->
   ?memo:Memo.t ->
   ?fuel:int ->
   ?poll:(unit -> unit) ->
@@ -156,7 +151,6 @@ val normalize_opt :
 (** [None] when the fuel runs out. *)
 
 val normalize_count :
-  ?strategy:strategy ->
   ?memo:Memo.t ->
   ?fuel:int ->
   ?poll:(unit -> unit) ->
@@ -170,8 +164,7 @@ val normalize_count :
     [on_rule] not at all, since attribution counts real work, not cache
     hits. *)
 
-val joinable :
-  ?strategy:strategy -> ?fuel:int -> system -> Term.t -> Term.t -> bool
+val joinable : ?fuel:int -> system -> Term.t -> Term.t -> bool
 (** Both terms normalize (within fuel) to equal normal forms. *)
 
 (** {1 The reference engine}
@@ -180,8 +173,9 @@ val joinable :
     every rule in priority order, with a matcher that binds and compares
     via deep structural equality and never consults term ids,
     precomputed hashes, or the intern table.
-    Same strategies, same strict-error and lazy-ite semantics, same fuel
-    accounting as the entry points above. *)
+    Same strict-error and lazy-ite semantics, same fuel accounting as the
+    entry points above; [strategy] (default [Innermost]) also selects
+    leftmost-outermost normalization. *)
 
 module Reference : sig
   val normalize :

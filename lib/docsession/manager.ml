@@ -127,12 +127,17 @@ let open_doc t ~name ~source =
     Mutex.protect t.lock (fun () -> Hashtbl.replace t.docs name doc);
     Ok doc
 
+type edit_error = Not_open | Unparsable
+
 let edit t ~name ~source =
   match Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.docs name) with
-  | None -> Error (Fmt.str "no open document named %s (session-open it first)" name)
+  | None ->
+    Error
+      ( Not_open,
+        Fmt.str "no open document named %s (session-open it first)" name )
   | Some prev -> (
     match parse_last t source with
-    | Error e -> Error e
+    | Error e -> Error (Unparsable, e)
     | Ok spec ->
       let digest = Spec_digest.spec spec in
       let d = Spec_diff.diff ~old_spec:prev.spec ~spec in

@@ -69,11 +69,16 @@ val open_doc : t -> name:string -> source:string -> (doc, string) result
     merged) and checks {e every} obligation — version 1, the full
     recheck an edit is measured against. Reopening a name resets it. *)
 
-val edit : t -> name:string -> source:string -> (doc, string) result
+type edit_error =
+  | Not_open  (** No document of that name was opened. *)
+  | Unparsable  (** The new source does not parse. *)
+
+val edit :
+  t -> name:string -> source:string -> (doc, edit_error * string) result
 (** Replaces the document's source: diff, cone, recheck inside the
-    cone, reuse outside it, version+1. Errors when the document was
-    never opened or the source does not parse. An edit that elaborates
-    to an unchanged specification rechecks nothing. *)
+    cone, reuse outside it, version+1. Errors, with a message, when the
+    document was never opened or the source does not parse. An edit
+    that elaborates to an unchanged specification rechecks nothing. *)
 
 val status : t -> name:string -> doc option
 val names : t -> string list

@@ -277,14 +277,15 @@ let do_prove ctx session entry vars lhs_src rhs_src req_fuel poll =
 
 let do_stats session verbose =
   let m = Metrics.snapshot (Session.metrics session) in
+  let count kind = List.assoc kind (Metrics.by_kind m) in
   let counters =
     Fmt.str
       "stats requests=%d normalize=%d check=%d skeletons=%d lint=%d \
        testgen=%d prove=%d stats=%d metrics=%d slowlog=%d malformed=%d \
        errors=%d fuel=%d"
-      m.Metrics.requests m.Metrics.normalize m.Metrics.check
-      m.Metrics.skeletons m.Metrics.lint m.Metrics.testgen m.Metrics.prove
-      m.Metrics.stats m.Metrics.metrics m.Metrics.slowlog m.Metrics.malformed
+      m.Metrics.requests (count "normalize") (count "check")
+      (count "skeletons") (count "lint") (count "testgen") (count "prove")
+      (count "stats") (count "metrics") (count "slowlog") m.Metrics.malformed
       m.Metrics.errors m.Metrics.fuel_spent
   in
   let c = Session.cache_totals session in
@@ -388,13 +389,10 @@ let do_session_edit ctx session name body =
     Docsession.Manager.edit (Session.docs session) ~name ~source:body
   in
   match result with
-  | Error e ->
-    let code =
-      if String.length e >= 2 && String.equal (String.sub e 0 2) "no" then
-        "unknown-spec"
-      else "parse"
-    in
-    error code "%s" (Protocol.sanitize e)
+  | Error (Docsession.Manager.Not_open, e) ->
+    error "unknown-spec" "%s" (Protocol.sanitize e)
+  | Error (Docsession.Manager.Unparsable, e) ->
+    error "parse" "%s" (Protocol.sanitize e)
   | Ok doc -> ok "%s" (summary_line "session-edit" name doc)
 
 let do_session_status session name =
@@ -491,11 +489,11 @@ let handle_line_obs ?read_line session line =
       Obs.Trace.finish trace )
   | Ok (Some Protocol.Quit) ->
     let trace = trace_for_line () in
-    Metrics.record_request metrics "quit";
+    Metrics.record_request metrics Protocol.Quit;
     (Closed, Obs.Trace.finish trace)
   | Ok (Some request) ->
     let trace = trace_for_line () in
-    Metrics.record_request metrics (Protocol.kind_name request);
+    Metrics.record_request metrics request;
     let ctx = { trace; fuel = 0 } in
     let started = Unix.gettimeofday () in
     (* a session-edit body is raw lines read off the same transport,

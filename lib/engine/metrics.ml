@@ -10,19 +10,7 @@
 type stripe = {
   lock : Mutex.t;
   mutable requests : int;
-  mutable normalize : int;
-  mutable check : int;
-  mutable skeletons : int;
-  mutable lint : int;
-  mutable testgen : int;
-  mutable prove : int;
-  mutable stats : int;
-  mutable metrics : int;
-  mutable slowlog : int;
-  mutable session_open : int;
-  mutable session_edit : int;
-  mutable session_status : int;
-  mutable quit : int;
+  kinds : int array;
   mutable malformed : int;
   mutable errors : int;
   mutable fuel_spent : int;
@@ -37,19 +25,7 @@ type t = { stripes : stripe array }
 
 type snapshot = {
   requests : int;
-  normalize : int;
-  check : int;
-  skeletons : int;
-  lint : int;
-  testgen : int;
-  prove : int;
-  stats : int;
-  metrics : int;
-  slowlog : int;
-  session_open : int;
-  session_edit : int;
-  session_status : int;
-  quit : int;
+  kinds : int array;
   malformed : int;
   errors : int;
   fuel_spent : int;
@@ -64,19 +40,7 @@ let make_stripe () =
   {
     lock = Mutex.create ();
     requests = 0;
-    normalize = 0;
-    check = 0;
-    skeletons = 0;
-    lint = 0;
-    testgen = 0;
-    prove = 0;
-    stats = 0;
-    metrics = 0;
-    slowlog = 0;
-    session_open = 0;
-    session_edit = 0;
-    session_status = 0;
-    quit = 0;
+    kinds = Array.make (List.length Protocol.kinds) 0;
     malformed = 0;
     errors = 0;
     fuel_spent = 0;
@@ -104,31 +68,14 @@ let with_stripe t f =
   let s = stripe_of t in
   Mutex.protect s.lock (fun () -> f s)
 
-(* total over Protocol.kind_name by construction: a new request kind that
-   reaches the fallback is a bug, not a statistic to fold away silently
-   (malformed lines have their own counter, recorded by the dispatcher) *)
-let bump_kind (s : stripe) = function
-  | "normalize" -> s.normalize <- s.normalize + 1
-  | "check" -> s.check <- s.check + 1
-  | "skeletons" -> s.skeletons <- s.skeletons + 1
-  | "lint" -> s.lint <- s.lint + 1
-  | "testgen" -> s.testgen <- s.testgen + 1
-  | "prove" -> s.prove <- s.prove + 1
-  | "stats" -> s.stats <- s.stats + 1
-  | "metrics" -> s.metrics <- s.metrics + 1
-  | "slowlog" -> s.slowlog <- s.slowlog + 1
-  | "session-open" -> s.session_open <- s.session_open + 1
-  | "session-edit" -> s.session_edit <- s.session_edit + 1
-  | "session-status" -> s.session_status <- s.session_status + 1
-  | "quit" -> s.quit <- s.quit + 1
-  | other -> invalid_arg (Fmt.str "Metrics.record_kind: unknown kind %s" other)
-
-let record_kind t kind = with_stripe t (fun s -> bump_kind s kind)
-
-let record_request t kind =
+(* one array bump: a request's kind is its index into Protocol.kinds, so
+   every kind the protocol can parse has its counter by construction
+   (malformed lines have their own counter) *)
+let record_request t request =
+  let i = Protocol.kind_index request in
   with_stripe t (fun s ->
       s.requests <- s.requests + 1;
-      bump_kind s kind)
+      s.kinds.(i) <- s.kinds.(i) + 1)
 
 let record_malformed_request t =
   with_stripe t (fun s ->
@@ -136,7 +83,6 @@ let record_malformed_request t =
       s.malformed <- s.malformed + 1;
       s.errors <- s.errors + 1)
 
-let record_malformed t = with_stripe t (fun s -> s.malformed <- s.malformed + 1)
 let add_fuel t steps = with_stripe t (fun s -> s.fuel_spent <- s.fuel_spent + steps)
 
 let bump_table table key =
@@ -170,19 +116,7 @@ let snapshot_stripe (s : stripe) =
   Mutex.protect s.lock (fun () ->
       {
         requests = s.requests;
-        normalize = s.normalize;
-        check = s.check;
-        skeletons = s.skeletons;
-        lint = s.lint;
-        testgen = s.testgen;
-        prove = s.prove;
-        stats = s.stats;
-        metrics = s.metrics;
-        slowlog = s.slowlog;
-        session_open = s.session_open;
-        session_edit = s.session_edit;
-        session_status = s.session_status;
-        quit = s.quit;
+        kinds = Array.copy s.kinds;
         malformed = s.malformed;
         errors = s.errors;
         fuel_spent = s.fuel_spent;
@@ -205,19 +139,7 @@ let merge_assoc a b =
 let merge a b =
   {
     requests = a.requests + b.requests;
-    normalize = a.normalize + b.normalize;
-    check = a.check + b.check;
-    skeletons = a.skeletons + b.skeletons;
-    lint = a.lint + b.lint;
-    testgen = a.testgen + b.testgen;
-    prove = a.prove + b.prove;
-    stats = a.stats + b.stats;
-    metrics = a.metrics + b.metrics;
-    slowlog = a.slowlog + b.slowlog;
-    session_open = a.session_open + b.session_open;
-    session_edit = a.session_edit + b.session_edit;
-    session_status = a.session_status + b.session_status;
-    quit = a.quit + b.quit;
+    kinds = Array.map2 ( + ) a.kinds b.kinds;
     malformed = a.malformed + b.malformed;
     errors = a.errors + b.errors;
     fuel_spent = a.fuel_spent + b.fuel_spent;
@@ -238,21 +160,7 @@ let snapshot t =
   | first :: rest -> List.fold_left merge first rest
 
 let by_kind snap =
-  [
-    ("normalize", snap.normalize);
-    ("check", snap.check);
-    ("skeletons", snap.skeletons);
-    ("lint", snap.lint);
-    ("testgen", snap.testgen);
-    ("prove", snap.prove);
-    ("stats", snap.stats);
-    ("metrics", snap.metrics);
-    ("slowlog", snap.slowlog);
-    ("session-open", snap.session_open);
-    ("session-edit", snap.session_edit);
-    ("session-status", snap.session_status);
-    ("quit", snap.quit);
-  ]
+  List.mapi (fun i kind -> (kind, snap.kinds.(i))) Protocol.kinds
 
 let latency_total snap = Obs.Hist.sum snap.latency
 let latency_max snap = Obs.Hist.max_value snap.latency

@@ -6,6 +6,10 @@
     as fixed-bucket histograms ({!Obs.Hist}) ready for Prometheus
     exposition.
 
+    The per-kind counters are one array indexed by {!Protocol.kind_index}:
+    {!Protocol.kinds} is the only list of request kinds, and recording a
+    kind is one array bump.
+
     The counters are striped: each domain records into its own stripe (a
     full set of counters behind its own mutex, selected by [Domain.self]),
     so the request hot path never takes a lock another domain is holding —
@@ -32,23 +36,14 @@ val stripes : t -> int
     All recording operations lock only the calling domain's stripe and
     are safe from any thread of any domain. *)
 
-val record_request : t -> string -> unit
-(** Bumps the total request counter and the per-kind counter named by
-    {!Protocol.kind_name}. Total over the kinds that function can
-    return; raises [Invalid_argument] on any other name — adding a
-    protocol verb without its counter is a bug caught immediately, not a
-    silently mis-binned statistic. *)
-
-val record_kind : t -> string -> unit
-(** The per-kind counter alone, without the request total; same totality
-    contract as {!record_request}. *)
+val record_request : t -> Protocol.request -> unit
+(** Bumps the total request counter and the request's kind counter: one
+    array slot, {!Protocol.kind_index}, so every kind the protocol can
+    parse is counted by construction. *)
 
 val record_malformed_request : t -> unit
 (** One malformed line: counts towards [requests], [malformed], and
     [errors] atomically (one stripe lock). *)
-
-val record_malformed : t -> unit
-(** The malformed counter alone. *)
 
 val add_fuel : t -> int -> unit
 (** Adds rewrite-rule applications to the running fuel total ([prove]
@@ -74,19 +69,9 @@ val record_outcome :
 
 type snapshot = {
   requests : int;  (** Every request line, malformed ones included. *)
-  normalize : int;
-  check : int;
-  skeletons : int;
-  lint : int;
-  testgen : int;
-  prove : int;
-  stats : int;
-  metrics : int;
-  slowlog : int;
-  session_open : int;
-  session_edit : int;
-  session_status : int;
-  quit : int;
+  kinds : int array;
+      (** Requests per kind, indexed by {!Protocol.kind_index}; read them
+          by name through {!by_kind}. *)
   malformed : int;
       (** Lines that failed protocol parsing (they also count towards
           [requests] and [errors]). *)
@@ -118,8 +103,7 @@ val merge : snapshot -> snapshot -> snapshot
     label, histograms merge by {!Obs.Hist.merge}. *)
 
 val by_kind : snapshot -> (string * int) list
-(** [(kind, count)] for every kind {!record_request} accepts, in
-    protocol order. *)
+(** [(kind, count)] for every kind of {!Protocol.kinds}, in that order. *)
 
 val latency_total : snapshot -> float
 (** Seconds, summed over requests. *)

@@ -263,20 +263,29 @@ let render = function
   | Ok_response payload -> "ok " ^ payload
   | Error_response { code; message } -> Fmt.str "error %s %s" code message
 
-let kind_name = function
-  | Normalize _ -> "normalize"
-  | Check _ -> "check"
-  | Skeletons _ -> "skeletons"
-  | Lint _ -> "lint"
-  | Testgen _ -> "testgen"
-  | Prove _ -> "prove"
-  | Session_open _ -> "session-open"
-  | Session_edit _ -> "session-edit"
-  | Session_status _ -> "session-status"
-  | Stats _ -> "stats"
-  | Metrics -> "metrics"
-  | Slowlog -> "slowlog"
-  | Quit -> "quit"
+let kinds =
+  [ "normalize"; "check"; "skeletons"; "lint"; "testgen"; "prove"; "stats";
+    "metrics"; "slowlog"; "session-open"; "session-edit"; "session-status";
+    "quit" ]
+
+(* positions in [kinds] *)
+let kind_index = function
+  | Normalize _ -> 0
+  | Check _ -> 1
+  | Skeletons _ -> 2
+  | Lint _ -> 3
+  | Testgen _ -> 4
+  | Prove _ -> 5
+  | Stats _ -> 6
+  | Metrics -> 7
+  | Slowlog -> 8
+  | Session_open _ -> 9
+  | Session_edit _ -> 10
+  | Session_status _ -> 11
+  | Quit -> 12
+
+let kind_names = Array.of_list kinds
+let kind_name request = kind_names.(kind_index request)
 
 let spec_name = function
   | Normalize { spec; _ } | Check { spec } | Skeletons { spec }

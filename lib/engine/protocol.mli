@@ -99,9 +99,15 @@ val parse : string -> (request option, string) result
 val render : response -> string
 (** The response line, newline not included. *)
 
+val kinds : string list
+(** Every kind keyword, once, in the order metrics report them — the one
+    list of request kinds; {!Metrics} keys its per-kind counters on it. *)
+
+val kind_index : request -> int
+(** The position of the request's kind in {!kinds}. *)
+
 val kind_name : request -> string
-(** The request's kind keyword, for metrics. {!Metrics.record_kind} is
-    total over this function's range, by construction and by test. *)
+(** The request's kind keyword: the {!kind_index}-th of {!kinds}. *)
 
 val spec_name : request -> string option
 (** The specification the request names, when its kind has one — what a

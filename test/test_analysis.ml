@@ -577,7 +577,9 @@ let test_lint_verb_frames_findings () =
   Alcotest.(check (option int))
     "confluence rule hit counter" (Some 1)
     (List.assoc_opt "ADT022" m.Engine.Metrics.rule_hits);
-  Alcotest.(check int) "lint kind counted" 1 m.Engine.Metrics.lint
+  Alcotest.(check (option int))
+    "lint kind counted" (Some 1)
+    (List.assoc_opt "lint" (Engine.Metrics.by_kind m))
 
 let test_lint_verb_unknown_spec () =
   let session = faulty_session () in

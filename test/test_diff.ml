@@ -39,11 +39,10 @@ let catch_fuel f =
    (both physically and — independently — structurally), same step count,
    same error-ness, and fuel exhaustion on the served engine iff on the
    oracle *)
-let agree sys strategy ~fuel t =
+let agree sys ~fuel t =
   match
-    ( catch_fuel (fun () ->
-          Rewrite.Reference.normalize_count ~strategy ~fuel sys t),
-      catch_fuel (fun () -> Rewrite.normalize_count ~strategy ~fuel sys t) )
+    ( catch_fuel (fun () -> Rewrite.Reference.normalize_count ~fuel sys t),
+      catch_fuel (fun () -> Rewrite.normalize_count ~fuel sys t) )
   with
   | None, None -> true
   | Some (nf0, n0), Some (nf, n) ->
@@ -58,9 +57,7 @@ let agree sys strategy ~fuel t =
    whenever the oracle completes *)
 let memo_agrees sys t =
   match
-    catch_fuel (fun () ->
-        Rewrite.Reference.normalize_count ~strategy:Rewrite.Innermost ~fuel
-          sys t)
+    catch_fuel (fun () -> Rewrite.Reference.normalize_count ~fuel sys t)
   with
   | None -> true
   | Some (nf, _) -> (
@@ -76,11 +73,10 @@ let diff_case spec =
     (Fmt.str "reference = automaton on %s" (Spec.name spec))
     (Corpus_gen.term_gen ctx)
     (fun t ->
-      agree sys Rewrite.Innermost ~fuel t
-      && agree sys Rewrite.Outermost ~fuel t
+      agree sys ~fuel t
       (* a deliberately tight budget, so both engines routinely hit the
          fuel wall and must agree on exactly WHEN they hit it *)
-      && agree sys Rewrite.Innermost ~fuel:tight_fuel t
+      && agree sys ~fuel:tight_fuel t
       && memo_agrees sys t)
 
 let suite = List.map diff_case Corpus.all

@@ -155,7 +155,7 @@ let open_exn mgr ~name ~source =
 let edit_exn mgr ~name ~source =
   match Docsession.Manager.edit mgr ~name ~source with
   | Ok doc -> doc
-  | Error e -> Alcotest.failf "edit %s: %s" name e
+  | Error (_, e) -> Alcotest.failf "edit %s: %s" name e
 
 let verdicts doc =
   List.map
@@ -241,8 +241,8 @@ let test_signature_edit_rechecks_everything () =
 let test_manager_errors () =
   let mgr = Docsession.Manager.create () in
   (match Docsession.Manager.edit mgr ~name:"ghost" ~source:base with
-  | Ok _ -> Alcotest.fail "edit of an unopened document succeeded"
-  | Error _ -> ());
+  | Error (Docsession.Manager.Not_open, _) -> ()
+  | _ -> Alcotest.fail "edit of an unopened document not refused as such");
   (match Docsession.Manager.open_doc mgr ~name:"bad" ~source:"spec Broken" with
   | Ok _ -> Alcotest.fail "parse error not reported"
   | Error _ -> ());

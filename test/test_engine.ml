@@ -262,6 +262,32 @@ let test_effective_fuel () =
   Alcotest.(check int) "lowered" 10 (Limits.effective_fuel limits (Some 10));
   Alcotest.(check int) "capped" 100 (Limits.effective_fuel limits (Some 1000))
 
+(* session-edit's two failures answer distinct codes: an unopened name is
+   unknown-spec, an unparseable body is parse *)
+let test_session_edit_errors () =
+  let session = queue_session () in
+  let edit name body =
+    let pending = ref body in
+    let read_line () =
+      match !pending with
+      | [] -> None
+      | l :: rest ->
+        pending := rest;
+        Some l
+    in
+    match
+      Dispatch.handle_line ~read_line session
+        (Fmt.str "session-edit lines=%d %s" (List.length body) name)
+    with
+    | Dispatch.Reply r -> r
+    | _ -> Alcotest.fail "session-edit gave no reply"
+  in
+  check_prefix "unopened document" "error unknown-spec no open document"
+    (edit "Queue" [ "spec Queue sort Queue end" ]);
+  check_prefix "opened" "ok session-open Queue" (reply session "session-open Queue");
+  check_prefix "unparseable body" "error parse"
+    (edit "Queue" [ "spec Queue"; "  sort" ])
+
 let suite =
   [
     Helpers.case "blank and comment lines are silent" test_parse_blank_and_comment;
@@ -282,4 +308,5 @@ let suite =
     Helpers.case "timeouts answer error timeout" test_timeout_classification;
     Helpers.case "prove fuel is clamped and metered" test_prove_fuel_clamp;
     Helpers.case "effective fuel caps at the session ceiling" test_effective_fuel;
+    Helpers.case "session-edit errors are typed" test_session_edit_errors;
   ]

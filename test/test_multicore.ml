@@ -28,7 +28,8 @@ let test_metrics_merge_law () =
     List.init n_domains (fun _ ->
         Domain.spawn (fun () ->
             for _ = 1 to per do
-              Metrics.record_request m "normalize";
+              Metrics.record_request m
+                (Protocol.Normalize { spec = "Queue"; term = "NEW"; fuel = None });
               (* 0.25 is exact in binary: float sums must merge exactly *)
               Metrics.record_outcome m ~latency:0.25 ~fuel:3 ~error:false ()
             done))

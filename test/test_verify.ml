@@ -337,9 +337,7 @@ let no_loop_case spec =
     (Fmt.str "RPO-oriented %s never exhausts fuel" (Spec.name spec))
     (Helpers.Corpus_gen.term_gen ctx)
     (fun t ->
-      match
-        Rewrite.normalize_count ~strategy:Rewrite.Innermost ~fuel:100_000 sys t
-      with
+      match Rewrite.normalize_count ~fuel:100_000 sys t with
       | _ -> true
       | exception Rewrite.Out_of_fuel _ -> false)
 
