@@ -852,24 +852,10 @@ let session_cmd =
     let env = Adt.Library.to_env lib in
     let mgr = Docsession.Manager.create ~env ?fuel () in
     let print_doc verb (doc : Docsession.Manager.doc) =
-      let s = doc.Docsession.Manager.summary in
-      Fmt.pr
-        "%s %s version=%d axioms=%d sig_changed=%b changed=%d cone=%d \
-         checked=%d reused=%d digest=%s@."
-        verb doc.Docsession.Manager.name s.Docsession.Manager.version
-        s.Docsession.Manager.axioms s.Docsession.Manager.sig_changed
-        s.Docsession.Manager.changed s.Docsession.Manager.cone
-        s.Docsession.Manager.checked s.Docsession.Manager.reused
-        doc.Docsession.Manager.digest;
+      Fmt.pr "%s@." (Docsession.Manager.summary_line verb doc);
       if obligations then
         List.iter
-          (fun (o : Docsession.Manager.oblig) ->
-            Fmt.pr "  axiom %s status=%s steps=%d findings=%d source=%s@."
-              (if String.equal o.Docsession.Manager.axiom_name "" then "-"
-               else o.Docsession.Manager.axiom_name)
-              (Docsession.Manager.status_name o.Docsession.Manager.status)
-              o.Docsession.Manager.steps o.Docsession.Manager.findings
-              (if o.Docsession.Manager.reused then "reused" else "checked"))
+          (fun o -> Fmt.pr "  %s@." (Docsession.Manager.obligation_line o))
           doc.Docsession.Manager.obligations
     in
     let source = read_file file in
@@ -1031,13 +1017,15 @@ let serve_cmd =
       0
   in
   let doc =
-    "Serve normalize/check/skeletons/prove/stats/metrics/slowlog requests \
-     over a line-oriented protocol, with a shared bounded normal-form \
-     cache, per-request limits, optional tracing and slow-request \
-     logging ($(b,--slowlog-ms)), and (over a socket) a domain pool \
-     ($(b,--domains), one per core by default) each accepting and serving \
-     its own connections, graceful SIGINT/SIGTERM drain, and busy \
-     backpressure beyond $(b,--max-clients)."
+    Fmt.str
+      "Serve the engine's requests (%s) over a line-oriented protocol, \
+       with a shared bounded normal-form cache, per-request limits, \
+       optional tracing and slow-request logging ($(b,--slowlog-ms)), and \
+       (over a socket) a domain pool ($(b,--domains), one per core by \
+       default) each accepting and serving its own connections, graceful \
+       SIGINT/SIGTERM drain, and busy backpressure beyond \
+       $(b,--max-clients)."
+      (String.concat ", " Engine.Protocol.kinds)
   in
   Cmd.v
     (Cmd.info "serve" ~doc)
@@ -1077,8 +1065,8 @@ let batch_cmd =
       $ cache_capacity_arg $ slowlog_ms_arg $ slowlog_capacity_arg
       $ cache_dir_arg $ cache_max_bytes_arg $ requests_arg)
 
-(* a session-edit body is read off the script by the dispatcher, as
-   [adtc batch] and the socket server read it off their transport *)
+(* a session-edit body is read off the script by the dispatcher, and a
+   quit ends the replay, as [adtc batch] and the socket server do *)
 let replay_requests session path =
   let ic = open_in path in
   let read_line () = In_channel.input_line ic in
@@ -1088,9 +1076,10 @@ let replay_requests session path =
       let rec loop () =
         match read_line () with
         | None -> ()
-        | Some line ->
-          ignore (Engine.Dispatch.handle_line ~read_line session line);
-          loop ()
+        | Some line -> (
+          match Engine.Dispatch.handle_line ~read_line session line with
+          | Engine.Dispatch.Closed -> ()
+          | Engine.Dispatch.Reply _ | Engine.Dispatch.Silent -> loop ())
       in
       loop ())
 
@@ -1153,7 +1142,8 @@ let engine_stats_cmd =
       & info [ "requests" ] ~docv:"FILE"
           ~doc:
             "Replay this request script first (responses discarded), so \
-             the report covers real traffic rather than an idle session.")
+             the report covers real traffic rather than an idle session; \
+             a $(b,quit) line ends the replay, as in $(b,adtc batch).")
   in
   let run libs files fuel timeout cache_capacity slowlog_ms slowlog_capacity
       cache_dir cache_max_bytes requests prometheus =

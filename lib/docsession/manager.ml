@@ -36,6 +36,20 @@ type doc = {
   summary : summary;
 }
 
+let summary_line verb doc =
+  let s = doc.summary in
+  Fmt.str
+    "%s %s version=%d axioms=%d sig_changed=%b changed=%d cone=%d checked=%d \
+     reused=%d digest=%s"
+    verb doc.name s.version s.axioms s.sig_changed s.changed s.cone s.checked
+    s.reused doc.digest
+
+let obligation_line o =
+  Fmt.str "axiom %s status=%s steps=%d findings=%d source=%s"
+    (if String.equal o.axiom_name "" then "-" else o.axiom_name)
+    (status_name o.status) o.steps o.findings
+    (if o.reused then "reused" else "checked")
+
 type t = {
   env : (string -> Spec.t option) option;
   fuel : int;

@@ -57,6 +57,16 @@ type doc = {
   summary : summary;
 }
 
+val summary_line : string -> doc -> string
+(** [summary_line verb doc]: the one-line summary of a document step,
+    [VERB NAME version=V axioms=A sig_changed=B changed=C cone=K
+    checked=N reused=R digest=D] — what [adtc session] prints and the
+    [session-open]/[session-edit] protocol verbs answer. *)
+
+val obligation_line : oblig -> string
+(** [axiom NAME status=S steps=N findings=F source=checked|reused], with
+    [-] for an unnamed axiom. *)
+
 type t
 
 val create : ?env:(string -> Adt.Spec.t option) -> ?fuel:int -> unit -> t

@@ -359,16 +359,6 @@ let do_slowlog session =
 
 (* {1 The document-session verbs} *)
 
-let summary_line verb name (doc : Docsession.Manager.doc) =
-  let s = doc.Docsession.Manager.summary in
-  Fmt.str
-    "%s %s version=%d axioms=%d sig_changed=%b changed=%d cone=%d checked=%d \
-     reused=%d digest=%s"
-    verb name s.Docsession.Manager.version s.Docsession.Manager.axioms
-    s.Docsession.Manager.sig_changed s.Docsession.Manager.changed
-    s.Docsession.Manager.cone s.Docsession.Manager.checked
-    s.Docsession.Manager.reused doc.Docsession.Manager.digest
-
 let do_session_open ctx session name =
   (* the document starts from the loaded specification's canonical
      source, so the first edit diffs against exactly what the session
@@ -381,7 +371,7 @@ let do_session_open ctx session name =
   in
   match result with
   | Error e -> error "parse" "%s" (Protocol.sanitize e)
-  | Ok doc -> ok "%s" (summary_line "session-open" name doc)
+  | Ok doc -> ok "%s" (Docsession.Manager.summary_line "session-open" doc)
 
 let do_session_edit ctx session name body =
   let result =
@@ -393,7 +383,7 @@ let do_session_edit ctx session name body =
     error "unknown-spec" "%s" (Protocol.sanitize e)
   | Error (Docsession.Manager.Unparsable, e) ->
     error "parse" "%s" (Protocol.sanitize e)
-  | Ok doc -> ok "%s" (summary_line "session-edit" name doc)
+  | Ok doc -> ok "%s" (Docsession.Manager.summary_line "session-edit" doc)
 
 let do_session_status session name =
   match Docsession.Manager.status (Session.docs session) ~name with
@@ -401,14 +391,6 @@ let do_session_status session name =
     error "unknown-spec" "no open document named %s (session-open it first)"
       name
   | Some doc ->
-    let line (o : Docsession.Manager.oblig) =
-      Fmt.str "axiom %s status=%s steps=%d findings=%d source=%s"
-        (if String.equal o.Docsession.Manager.axiom_name "" then "-"
-         else o.Docsession.Manager.axiom_name)
-        (Docsession.Manager.status_name o.Docsession.Manager.status)
-        o.Docsession.Manager.steps o.Docsession.Manager.findings
-        (if o.Docsession.Manager.reused then "reused" else "checked")
-    in
     let obligations = doc.Docsession.Manager.obligations in
     let header =
       Fmt.str "session-status %s version=%d axioms=%d obligations=%d digest=%s"
@@ -416,7 +398,9 @@ let do_session_status session name =
         doc.Docsession.Manager.summary.Docsession.Manager.axioms
         (List.length obligations) doc.Docsession.Manager.digest
     in
-    ok "%s" (String.concat "\n" (header :: List.map line obligations))
+    ok "%s"
+      (String.concat "\n"
+         (header :: List.map Docsession.Manager.obligation_line obligations))
 
 let handle_request ?poll ?ctx ?body session request =
   let ctx = match ctx with Some c -> c | None -> null_ctx () in

@@ -42,49 +42,94 @@ let sanitize s =
     s;
   Buffer.contents buf
 
-let words line =
-  String.split_on_char ' ' (String.map (function '\t' -> ' ' | c -> c) line)
-  |> List.filter (fun w -> not (String.equal w ""))
+(* {1 The request grammar}
 
-(* leading KEY=VALUE words are options; [allowed] lists the keys the kind
-   accepts *)
-let take_options ~kind ~allowed ws =
-  let rec go opts = function
-    | w :: rest when String.contains w '=' -> (
-      match String.index_opt w '=' with
-      | Some i ->
-        let key = String.sub w 0 i in
-        let value = String.sub w (i + 1) (String.length w - i - 1) in
-        if List.mem key allowed then go ((key, value) :: opts) rest
-        else
-          Error
-            (Fmt.str "unknown option %s for %s%s" key kind
-               (if allowed = [] then " (none accepted)"
-                else Fmt.str " (accepted: %s)" (String.concat ", " allowed)))
-      | None -> Ok (List.rev opts, w :: rest))
-    | ws -> Ok (List.rev opts, ws)
+   A cursor reads the trimmed request line left to right. A word is a
+   maximal run of characters other than space and tab. *)
+
+type cursor = { line : string; mutable pos : int }
+
+let blank ch = ch = ' ' || ch = '\t'
+
+(* moves past blanks; true when no word is left *)
+let at_end c =
+  let n = String.length c.line in
+  while c.pos < n && blank c.line.[c.pos] do c.pos <- c.pos + 1 done;
+  c.pos >= n
+
+let next_word c =
+  if at_end c then None
+  else
+    let start = c.pos in
+    while c.pos < String.length c.line && not (blank c.line.[c.pos]) do
+      c.pos <- c.pos + 1
+    done;
+    Some (String.sub c.line start (c.pos - start))
+
+(* the rest of the line from the next word on, its spacing kept: the last
+   thing a builder reads *)
+let rest c =
+  if at_end c then None
+  else Some (String.sub c.line c.pos (String.length c.line - c.pos))
+
+let rec remaining_words acc c =
+  match next_word c with
+  | None -> List.rev acc
+  | Some w -> remaining_words (w :: acc) c
+
+(* why a row's builder rejects a line; [Usage] renders as
+   "KIND expects: USAGE" from the row *)
+type failure = Usage | Invalid of string
+
+let invalid fmt = Fmt.kstr (fun message -> Error (Invalid message)) fmt
+let ( let* ) r f = Result.bind r f
+
+(* the one positional word left *)
+let single c =
+  match next_word c with Some w when at_end c -> Ok w | _ -> Error Usage
+
+(* Leading KEY=VALUE words are options, checked against the keys the
+   row accepts; a repeated key's first value counts. *)
+let read_options c ~kind ~keys =
+  let rec go opts =
+    let start = c.pos in
+    match next_word c with
+    | Some w when String.contains w '=' ->
+      let i = String.index w '=' in
+      let key = String.sub w 0 i in
+      if List.mem key keys then
+        go ((key, String.sub w (i + 1) (String.length w - i - 1)) :: opts)
+      else
+        invalid "unknown option %s for %s%s" key kind
+          (if keys = [] then " (none accepted)"
+           else Fmt.str " (accepted: %s)" (String.concat ", " keys))
+    | _ ->
+      c.pos <- start;
+      Ok (List.rev opts)
   in
-  go [] ws
+  go []
 
-let fuel_option opts =
-  match List.assoc_opt "fuel" opts with
+(* a typed reader of option values: what a value must be, and how it
+   converts *)
+let positive =
+  ( "a positive integer",
+    fun v ->
+      match int_of_string_opt v with Some n when n > 0 -> Some n | _ -> None )
+
+let integer = ("an integer", int_of_string_opt)
+let boolean = ("true or false", bool_of_string_opt)
+
+let option (expects, read) key opts =
+  match List.assoc_opt key opts with
   | None -> Ok None
   | Some v -> (
-    match int_of_string_opt v with
-    | Some n when n > 0 -> Ok (Some n)
-    | _ -> Error (Fmt.str "option fuel expects a positive integer, got %s" v))
-
-let bool_option key opts =
-  match List.assoc_opt key opts with
-  | None -> Ok false
-  | Some "true" -> Ok true
-  | Some "false" -> Ok false
-  | Some v -> Error (Fmt.str "option %s expects true or false, got %s" key v)
+    match read v with
+    | Some x -> Ok (Some x)
+    | None -> invalid "option %s expects %s, got %s" key expects v)
 
 let parse_vars = function
   | "-" -> Ok []
   | s ->
-    let entries = String.split_on_char ',' s in
     let rec go acc = function
       | [] -> Ok (List.rev acc)
       | entry :: rest -> (
@@ -94,11 +139,9 @@ let parse_vars = function
           let sort = String.sub entry (i + 1) (String.length entry - i - 1) in
           go ((name, sort) :: acc) rest
         | _ ->
-          Error
-            (Fmt.str "variable declaration %s is not of the form name:Sort"
-               entry))
+          invalid "variable declaration %s is not of the form name:Sort" entry)
     in
-    go [] entries
+    go [] (String.split_on_char ',' s)
 
 let split_goal ws =
   let rec go acc = function
@@ -108,165 +151,100 @@ let split_goal ws =
   in
   match go [] ws with
   | Some ((_ :: _ as lhs), (_ :: _ as rhs)) ->
-    Some (String.concat " " lhs, String.concat " " rhs)
-  | _ -> None
+    Ok (String.concat " " lhs, String.concat " " rhs)
+  | _ ->
+    invalid
+      "prove expects a goal of the form LHS == RHS after the variable \
+       declarations"
 
-let ( let* ) r f = Result.bind r f
+(* One row per kind, in the order of {!kinds}: the keyword, the option
+   keys it accepts, its usage line, and a builder from the options and
+   the positional words to the request. *)
+type row = {
+  kind : string;
+  keys : string list;
+  usage : string;
+  build : cursor -> (string * string) list -> (request, failure) result;
+}
+
+let row kind keys usage build = { kind; keys; usage; build }
+
+let spec_row kind make =
+  row kind [] (kind ^ " SPEC") (fun c _ -> Result.map make (single c))
+
+let bare kind request =
+  row kind [] kind (fun c _ -> if at_end c then Ok request else Error Usage)
+
+let rows =
+  [
+    row "normalize" [ "fuel" ] "normalize [fuel=N] SPEC TERM" (fun c opts ->
+        let* fuel = option positive "fuel" opts in
+        let spec = next_word c in
+        match (spec, rest c) with
+        | Some spec, Some term -> Ok (Normalize { spec; term; fuel })
+        | _ -> Error Usage);
+    spec_row "check" (fun spec -> Check { spec });
+    spec_row "skeletons" (fun spec -> Skeletons { spec });
+    spec_row "lint" (fun spec -> Lint { spec });
+    row "testgen" [ "count"; "seed"; "impl" ]
+      "testgen [impl=NAME] [count=N] [seed=S] SPEC" (fun c opts ->
+        let* count = option positive "count" opts in
+        let* seed = option integer "seed" opts in
+        let* spec = single c in
+        Ok (Testgen { spec; impl = List.assoc_opt "impl" opts; count; seed }));
+    row "prove" [ "fuel" ]
+      "prove [fuel=N] SPEC VARS LHS == RHS (VARS is '-' or name:Sort,...)"
+      (fun c opts ->
+        let* fuel = option positive "fuel" opts in
+        let spec = next_word c in
+        match (spec, next_word c) with
+        | Some spec, Some vars_word -> (
+          let* vars = parse_vars vars_word in
+          let* lhs, rhs = split_goal (remaining_words [] c) in
+          Ok (Prove { spec; vars; lhs; rhs; fuel }))
+        | _ -> Error Usage);
+    row "stats" [ "verbose" ] "stats [verbose=true]" (fun c opts ->
+        let* verbose = option boolean "verbose" opts in
+        if at_end c then Ok (Stats { verbose = verbose = Some true })
+        else Error Usage);
+    bare "metrics" Metrics;
+    bare "slowlog" Slowlog;
+    spec_row "session-open" (fun spec -> Session_open { spec });
+    row "session-edit" [ "lines" ]
+      "session-edit lines=N SPEC, followed by N raw body lines" (fun c opts ->
+        let* lines = option positive "lines" opts in
+        let* spec = single c in
+        match lines with
+        | Some lines -> Ok (Session_edit { spec; lines })
+        | None -> Error Usage);
+    spec_row "session-status" (fun spec -> Session_status { spec });
+    bare "quit" Quit;
+  ]
+
+let kinds = List.map (fun r -> r.kind) rows
+
+let expected =
+  match List.rev kinds with
+  | last :: others -> String.concat ", " (List.rev others) ^ " or " ^ last
+  | [] -> ""
 
 let parse line =
-  let line = String.trim line in
-  if String.equal line "" || line.[0] = '#' then Ok None
-  else
-    match words line with
-    | [] -> Ok None
-    | kind :: rest -> (
-      let with_options allowed k =
-        let* opts, args = take_options ~kind ~allowed rest in
-        k opts args
-      in
-      match kind with
-      | "normalize" ->
-        with_options [ "fuel" ] (fun opts args ->
-            let* fuel = fuel_option opts in
-            match args with
-            | spec :: (_ :: _ as term_words) ->
-              Ok
-                (Some
-                   (Normalize
-                      { spec; term = String.concat " " term_words; fuel }))
-            | _ -> Error "normalize expects: normalize [fuel=N] SPEC TERM")
-      | "check" ->
-        with_options [] (fun _ args ->
-            match args with
-            | [ spec ] -> Ok (Some (Check { spec }))
-            | _ -> Error "check expects: check SPEC")
-      | "skeletons" ->
-        with_options [] (fun _ args ->
-            match args with
-            | [ spec ] -> Ok (Some (Skeletons { spec }))
-            | _ -> Error "skeletons expects: skeletons SPEC")
-      | "lint" ->
-        with_options [] (fun _ args ->
-            match args with
-            | [ spec ] -> Ok (Some (Lint { spec }))
-            | _ -> Error "lint expects: lint SPEC")
-      | "testgen" ->
-        with_options [ "count"; "seed"; "impl" ] (fun opts args ->
-            let positive key =
-              match List.assoc_opt key opts with
-              | None -> Ok None
-              | Some v -> (
-                match int_of_string_opt v with
-                | Some n when n > 0 -> Ok (Some n)
-                | _ ->
-                  Error
-                    (Fmt.str "option %s expects a positive integer, got %s"
-                       key v))
-            in
-            let* count = positive "count" in
-            let* seed =
-              match List.assoc_opt "seed" opts with
-              | None -> Ok None
-              | Some v -> (
-                match int_of_string_opt v with
-                | Some n -> Ok (Some n)
-                | None ->
-                  Error (Fmt.str "option seed expects an integer, got %s" v))
-            in
-            match args with
-            | [ spec ] ->
-              Ok
-                (Some
-                   (Testgen
-                      { spec; impl = List.assoc_opt "impl" opts; count; seed }))
-            | _ ->
-              Error "testgen expects: testgen [impl=NAME] [count=N] [seed=S] SPEC")
-      | "prove" ->
-        with_options [ "fuel" ] (fun opts args ->
-            let* fuel = fuel_option opts in
-            match args with
-            | spec :: vars_word :: goal_words -> (
-              let* vars = parse_vars vars_word in
-              match split_goal goal_words with
-              | Some (lhs, rhs) ->
-                Ok (Some (Prove { spec; vars; lhs; rhs; fuel }))
-              | None ->
-                Error
-                  "prove expects a goal of the form LHS == RHS after the \
-                   variable declarations")
-            | _ ->
-              Error
-                "prove expects: prove [fuel=N] SPEC VARS LHS == RHS (VARS \
-                 is '-' or name:Sort,...)")
-      | "session-open" ->
-        with_options [] (fun _ args ->
-            match args with
-            | [ spec ] -> Ok (Some (Session_open { spec }))
-            | _ -> Error "session-open expects: session-open NAME")
-      | "session-edit" ->
-        with_options [ "lines" ] (fun opts args ->
-            let* lines =
-              match List.assoc_opt "lines" opts with
-              | Some v -> (
-                match int_of_string_opt v with
-                | Some n when n > 0 -> Ok n
-                | _ ->
-                  Error
-                    (Fmt.str "option lines expects a positive integer, got %s"
-                       v))
-              | None ->
-                Error
-                  "session-edit expects: session-edit lines=N NAME, followed \
-                   by N raw body lines"
-            in
-            match args with
-            | [ spec ] -> Ok (Some (Session_edit { spec; lines }))
-            | _ ->
-              Error
-                "session-edit expects: session-edit lines=N NAME, followed \
-                 by N raw body lines")
-      | "session-status" ->
-        with_options [] (fun _ args ->
-            match args with
-            | [ spec ] -> Ok (Some (Session_status { spec }))
-            | _ -> Error "session-status expects: session-status NAME")
-      | "stats" ->
-        with_options [ "verbose" ] (fun opts args ->
-            let* verbose = bool_option "verbose" opts in
-            match args with
-            | [] -> Ok (Some (Stats { verbose }))
-            | _ -> Error "stats takes no positional arguments")
-      | "metrics" ->
-        with_options [] (fun _ args ->
-            match args with
-            | [] -> Ok (Some Metrics)
-            | _ -> Error "metrics takes no arguments")
-      | "slowlog" ->
-        with_options [] (fun _ args ->
-            match args with
-            | [] -> Ok (Some Slowlog)
-            | _ -> Error "slowlog takes no arguments")
-      | "quit" ->
-        with_options [] (fun _ args ->
-            match args with
-            | [] -> Ok (Some Quit)
-            | _ -> Error "quit takes no arguments")
-      | other ->
-        Error
-          (Fmt.str
-             "unknown request %s (expected normalize, check, skeletons, \
-              lint, testgen, prove, session-open, session-edit, \
-              session-status, stats, metrics, slowlog or quit)"
-             other))
+  let c = { line = String.trim line; pos = 0 } in
+  match next_word c with
+  | None -> Ok None
+  | Some kind when kind.[0] = '#' -> Ok None
+  | Some kind -> (
+    match List.find_opt (fun r -> String.equal r.kind kind) rows with
+    | None -> Error (Fmt.str "unknown request %s (expected %s)" kind expected)
+    | Some r -> (
+      match Result.bind (read_options c ~kind ~keys:r.keys) (r.build c) with
+      | Ok request -> Ok (Some request)
+      | Error Usage -> Error (Fmt.str "%s expects: %s" kind r.usage)
+      | Error (Invalid message) -> Error message))
 
 let render = function
   | Ok_response payload -> "ok " ^ payload
   | Error_response { code; message } -> Fmt.str "error %s %s" code message
-
-let kinds =
-  [ "normalize"; "check"; "skeletons"; "lint"; "testgen"; "prove"; "stats";
-    "metrics"; "slowlog"; "session-open"; "session-edit"; "session-status";
-    "quit" ]
 
 (* positions in [kinds] *)
 let kind_index = function

@@ -8,10 +8,12 @@
     request    := kind option* arg*
     option     := KEY '=' VALUE            (before the positional args)
     kind       := 'normalize' | 'check' | 'skeletons' | 'lint' | 'testgen'
-                | 'prove' | 'session-open' | 'session-edit'
-                | 'session-status' | 'stats' | 'metrics' | 'slowlog' | 'quit'
+                | 'prove' | 'stats' | 'metrics' | 'slowlog'
+                | 'session-open' | 'session-edit' | 'session-status' | 'quit'
 
-    normalize [fuel=N] SPEC TERM           evaluate TERM against SPEC
+    normalize [fuel=N] SPEC TERM           evaluate TERM (the rest of the
+                                           line, its spacing kept)
+                                           against SPEC
     check     SPEC                         completeness + consistency
     skeletons SPEC                         missing-axiom left-hand sides
     lint      SPEC                         all lint findings (one per line)
@@ -21,36 +23,46 @@
                                            registered implementation
     prove [fuel=N] SPEC VARS LHS == RHS    equational proof; VARS is '-'
                                            or 'q:Queue,i:Item'
+    stats [verbose=true]                   metrics counters; verbose adds
+                                           wall-clock latency
+    metrics                                Prometheus text exposition
+    slowlog                                slow-request ring log entries
     session-open SPEC                      open the versioned document for
                                            a loaded spec; full check
     session-edit lines=N SPEC              replace the document source with
                                            the N raw lines that follow;
                                            O(edit) incremental re-check
     session-status SPEC                    version + per-obligation lines
-    stats [verbose=true]                   metrics counters; verbose adds
-                                           wall-clock latency
-    metrics                                Prometheus text exposition
-    slowlog                                slow-request ring log entries
     quit                                   close the session
     v}
+
+    A word is a run of characters other than space and tab. A line
+    whose kind is known but whose words do not fit its row is answered
+    [KIND expects: USAGE], USAGE being the row's line above.
 
     Responses:
 
     {v
     response := 'ok' payload | 'error' CODE message
     CODE     := 'protocol' | 'unknown-spec' | 'unknown-impl' | 'parse'
-              | 'fuel' | 'timeout' | 'internal'
+              | 'fuel' | 'timeout' | 'internal' | 'slowlog' | 'busy'
     v}
 
+    [slowlog] answers a [slowlog] request when the slow-request log is
+    disabled; [busy] is the one line a socket server sends a client it
+    turns away beyond its connection limit.
+
     Payloads are single-line (term renderings are whitespace-squashed by
-    {!sanitize}), with three exceptions: [metrics], [slowlog] and [lint]
-    answer a first line announcing how many raw lines follow ([ok metrics
-    lines=N] / [ok slowlog entries=N ...] / [ok lint SPEC findings=N])
-    and then exactly that many further lines, so line-oriented clients
-    can frame the body; [testgen] frames identically with [ok testgen
-    SPEC impl=NAME seed=S failures=N axioms=K] followed by one line per
-    axiom. An error response never kills the session — the next request
-    is served normally. *)
+    {!sanitize}), except for the framed bodies: [metrics], [slowlog],
+    [lint] and [session-status] answer a first line announcing how many
+    raw lines follow ([ok metrics lines=N] / [ok slowlog entries=N ...] /
+    [ok lint SPEC findings=N] / [ok session-status SPEC ...
+    obligations=N ...]) and then exactly that many further lines, so
+    line-oriented clients can frame the body; [testgen] frames
+    identically with [ok testgen SPEC impl=NAME seed=S count=N size=K
+    failures=F axioms=A] followed by one line per axiom. An error
+    response never kills the session — the next request is served
+    normally. *)
 
 type request =
   | Normalize of { spec : string; term : string; fuel : int option }
@@ -94,14 +106,18 @@ type response =
 
 val parse : string -> (request option, string) result
 (** [Ok None] for blank/comment lines; [Error message] for malformed
-    requests (unknown kind, bad arity, bad option). *)
+    requests (unknown kind, bad arity, bad option). Every kind is read
+    by one row of a table — its keyword, option keys, usage line and
+    builder — from which {!kinds}, the unknown-request message and the
+    arity errors are derived. *)
 
 val render : response -> string
 (** The response line, newline not included. *)
 
 val kinds : string list
-(** Every kind keyword, once, in the order metrics report them — the one
-    list of request kinds; {!Metrics} keys its per-kind counters on it. *)
+(** Every kind keyword, once, in the order of the request table's rows,
+    which is the order metrics report them — the one list of request
+    kinds; {!Metrics} keys its per-kind counters on it. *)
 
 val kind_index : request -> int
 (** The position of the request's kind in {!kinds}. *)

@@ -60,6 +60,13 @@ let parse_spec_exn ?env src =
 
 let case name f = Alcotest.test_case name `Quick f
 
+(* [TEST_DIFF_LONG=1] (the weekly CI fuzz job sets it) multiplies the
+   volume of the randomized suites that read it *)
+let long_mode =
+  match Sys.getenv_opt "TEST_DIFF_LONG" with
+  | Some ("" | "0") | None -> false
+  | Some _ -> true
+
 let qcheck ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name ~count gen prop)

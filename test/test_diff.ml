@@ -21,11 +21,6 @@ open Adt
 open Helpers
 open Adt_specs
 
-let long_mode =
-  match Sys.getenv_opt "TEST_DIFF_LONG" with
-  | Some ("" | "0") | None -> false
-  | Some _ -> true
-
 let count_per_spec = if long_mode then 5_000 else 1_000
 let fuel = 3_000
 let tight_fuel = 12

@@ -34,12 +34,17 @@ let test_parse_blank_and_comment () =
     [ ""; "   "; "# a comment"; "  # indented comment" ]
 
 let test_parse_normalize () =
-  match Protocol.parse "normalize fuel=7 Queue FRONT(ADD(NEW, ITEM1))" with
+  (match Protocol.parse "normalize fuel=7 Queue FRONT(ADD(NEW, ITEM1))" with
   | Ok (Some (Protocol.Normalize { spec; term; fuel })) ->
     Alcotest.(check string) "spec" "Queue" spec;
     Alcotest.(check string) "term" "FRONT(ADD(NEW, ITEM1))" term;
     Alcotest.(check (option int)) "fuel" (Some 7) fuel
-  | _ -> Alcotest.fail "normalize did not parse"
+  | _ -> Alcotest.fail "normalize did not parse");
+  (* the term is the rest of the line after SPEC, its spacing kept *)
+  match Protocol.parse "normalize  Queue \t FRONT(ADD(NEW,\t ITEM1))  " with
+  | Ok (Some (Protocol.Normalize { spec = "Queue"; term; fuel = None })) ->
+    Alcotest.(check string) "unsplit term" "FRONT(ADD(NEW,\t ITEM1))" term
+  | _ -> Alcotest.fail "normalize with blanks did not parse"
 
 let test_parse_prove () =
   match
@@ -78,6 +83,171 @@ let test_sanitize () =
   Alcotest.(check string)
     "squashed" "a b c"
     (Protocol.sanitize "  a\n\tb \r\n  c  ")
+
+(* {2 Generated request lines}
+
+   An independent model of the request grammar: per kind, its option
+   keys with good and bad values, the positional-word counts that fit it
+   (given the option keys present), and its usage line. Lines are built
+   from this vocabulary — each keyword or an unknown one, options, 0-4
+   positional words, runs of spaces and tabs — and a third of them get a
+   single-byte mutation. The model's keywords must be [Protocol.kinds],
+   so a new kind fails here until the model learns it. *)
+
+type grammar_row = {
+  kind : string;
+  keys : (string * (string list * string list)) list;
+  fits : string list -> int -> bool;
+  usage : string;
+}
+
+let positive_values = ([ "1"; "7"; "250" ], [ "0"; "-3"; "x"; "" ])
+let spec_only kind =
+  { kind; keys = []; fits = (fun _ n -> n = 1); usage = kind ^ " SPEC" }
+
+let bare kind = { kind; keys = []; fits = (fun _ n -> n = 0); usage = kind }
+
+let grammar =
+  [
+    { kind = "normalize"; keys = [ ("fuel", positive_values) ];
+      fits = (fun _ n -> n >= 2); usage = "normalize [fuel=N] SPEC TERM" };
+    spec_only "check"; spec_only "skeletons"; spec_only "lint";
+    { kind = "testgen";
+      keys =
+        [ ("count", positive_values); ("seed", ([ "0"; "-5"; "42" ], [ "x"; "1.5" ]));
+          ("impl", ([ "queue" ], [])) ];
+      fits = (fun _ n -> n = 1);
+      usage = "testgen [impl=NAME] [count=N] [seed=S] SPEC" };
+    { kind = "prove"; keys = [ ("fuel", positive_values) ];
+      fits = (fun _ n -> n >= 2);
+      usage = "prove [fuel=N] SPEC VARS LHS == RHS (VARS is '-' or name:Sort,...)" };
+    { kind = "stats"; keys = [ ("verbose", ([ "true"; "false" ], [ "yes"; "1" ])) ];
+      fits = (fun _ n -> n = 0); usage = "stats [verbose=true]" };
+    bare "metrics"; bare "slowlog"; spec_only "session-open";
+    { kind = "session-edit"; keys = [ ("lines", positive_values) ];
+      fits = (fun keys n -> List.mem "lines" keys && n = 1);
+      usage = "session-edit lines=N SPEC, followed by N raw body lines" };
+    spec_only "session-status"; bare "quit";
+  ]
+
+let test_grammar_model () =
+  Alcotest.(check (list string)) "model keywords" Protocol.kinds
+    (List.map (fun g -> g.kind) grammar)
+
+(* a word containing '=' right after the options would be read as one,
+   so "==" only follows the first positional word *)
+let first_words = [ "Queue"; "NEW"; "FRONT(ADD(NEW,"; "q:Queue,i:Item"; "-"; "#"; "x,y" ]
+let later_words = "==" :: "ITEM1))" :: "IS_EMPTY?(q)" :: "false" :: first_words
+
+let line_words line =
+  String.split_on_char ' ' (String.map (function '\t' -> ' ' | c -> c) line)
+  |> List.filter (( <> ) "")
+
+type generated = {
+  row : grammar_row option;  (** [None]: an unknown keyword. *)
+  keyword : string;
+  present : string list;  (** Option keys on the line. *)
+  all_good : bool;  (** Every option is accepted and well-valued. *)
+  positional : int;
+  mutated : bool;
+  line : string;
+}
+
+let generate st =
+  let pick l = List.nth l (Random.State.int st (List.length l)) in
+  let blanks () = pick [ " "; "  "; "\t"; " \t"; "\t \t " ] in
+  let row = if Random.State.int st 10 = 0 then None else Some (pick grammar) in
+  let keyword =
+    match row with Some g -> g.kind | None -> pick [ "frobnicate"; "Normalize"; "stat" ]
+  in
+  let keys = match row with Some g -> g.keys | None -> [] in
+  let opts =
+    List.filter_map
+      (fun (key, (good, bad)) ->
+        if Random.State.bool st then None
+        else
+          let ok = bad = [] || Random.State.int st 4 > 0 in
+          Some (key, ok, pick (if ok then good else bad)))
+      keys
+  in
+  (* a key no kind accepts *)
+  let opts =
+    if Random.State.int st 10 = 0 then opts @ [ ("volume", false, "11") ]
+    else opts
+  in
+  let positional = Random.State.int st 5 in
+  let words =
+    List.init positional (fun i -> pick (if i = 0 then first_words else later_words))
+  in
+  let b = Buffer.create 64 in
+  if Random.State.int st 4 = 0 then Buffer.add_string b (blanks ());
+  Buffer.add_string b keyword;
+  List.iter (fun (k, _, v) -> Buffer.add_string b (blanks () ^ k ^ "=" ^ v)) opts;
+  List.iter (fun w -> Buffer.add_string b (blanks () ^ w)) words;
+  if Random.State.int st 4 = 0 then Buffer.add_string b (blanks ());
+  let line = Buffer.contents b in
+  let mutated = Random.State.int st 3 = 0 in
+  let line =
+    if not mutated then line
+    else
+      let i = Random.State.int st (String.length line) in
+      let byte =
+        String.make 1
+          (pick
+             [ ' '; '\t'; '='; '#'; ','; ':'; '\n'; '\r';
+               Char.chr (Random.State.int st 256) ])
+      in
+      let before = String.sub line 0 i
+      and after k = String.sub line k (String.length line - k) in
+      match Random.State.int st 3 with
+      | 0 -> before ^ byte ^ after (i + 1)
+      | 1 -> before ^ byte ^ after i
+      | _ -> before ^ after (i + 1)
+  in
+  {
+    row; keyword; line; positional; mutated;
+    present = List.map (fun (k, _, _) -> k) opts;
+    all_good = List.for_all (fun (_, ok, _) -> ok) opts;
+  }
+
+let parse_property g =
+  let fail fmt = QCheck2.Test.fail_reportf ("%S: " ^^ fmt) g.line in
+  match Protocol.parse g.line with
+  | exception e -> fail "raised %s" (Printexc.to_string e)
+  | result ->
+    (match result with
+    | Ok (Some r)
+      when Some (Protocol.kind_name r)
+           <> List.nth_opt (line_words (String.trim g.line)) 0 ->
+      fail "parsed as a %s request" (Protocol.kind_name r)
+    | _ -> ());
+    (match g.row with
+    | _ when g.mutated -> ()
+    | None -> (
+      match result with
+      | Error m when String.starts_with ~prefix:("unknown request " ^ g.keyword) m -> ()
+      | _ -> fail "an unknown keyword was not refused")
+    | Some _ when not g.all_good -> ()
+    | Some row when not (row.fits g.present g.positional) ->
+      if result <> Error (row.kind ^ " expects: " ^ row.usage) then
+        fail "wrong arity answered %s"
+          (match result with Error m -> m | Ok _ -> "a request")
+    | Some row -> (
+      match result with
+      | Ok (Some _) -> ()
+      | Error _ when String.equal row.kind "prove" -> ()
+      | Error m -> fail "well-formed line refused: %s" m
+      | Ok None -> fail "well-formed line silent"));
+    true
+
+let parse_line_count = if Helpers.long_mode then 50_000 else 5_000
+
+let test_parse_generated =
+  Helpers.qcheck ~count:parse_line_count "generated request lines"
+    (QCheck2.Gen.map
+       (fun seed -> generate (Random.State.make [| seed; 0x70c01 |]))
+       QCheck2.Gen.(int_range 0 max_int))
+    parse_property
 
 (* {1 Dispatch} *)
 
@@ -295,6 +465,8 @@ let suite =
     Helpers.case "prove requests parse" test_parse_prove;
     Helpers.case "malformed requests are rejected" test_parse_errors;
     Helpers.case "payload sanitization" test_sanitize;
+    Helpers.case "the grammar model covers every kind" test_grammar_model;
+    test_parse_generated;
     Helpers.case "repeated requests hit the shared cache" test_cross_request_cache;
     Helpers.case "errors never kill the session" test_error_isolation;
     Helpers.case "per-request fuel limits" test_fuel_limit;
