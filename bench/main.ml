@@ -687,7 +687,7 @@ let e16_replay session =
     (fun line ->
       match Engine.Dispatch.handle_line session line with
       | Engine.Dispatch.Reply r -> e16_mask r
-      | Engine.Dispatch.Silent | Engine.Dispatch.Closed -> "")
+      | Engine.Dispatch.Silent | Engine.Dispatch.Closed _ -> "")
     e16_requests
 
 let e16_queue_source axiom4 =

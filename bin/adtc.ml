@@ -391,29 +391,22 @@ let testgen_cmd =
           Error Cmd.Exit.cli_error
         | None, _, true | Some _, None, true ->
           Ok (if mutants then Testgen.Registry.mutants else Testgen.Registry.clean)
-        | Some s, None, false -> (
+        | Some s, None, false when mutants -> (
           match Testgen.Registry.for_spec ~mutants s with
           | [] ->
             Fmt.epr
-              "adtc testgen: no%s implementation is registered for %s \
+              "adtc testgen: no mutant implementation is registered for %s \
                (have: %s)@."
-              (if mutants then " mutant" else "")
               s
               (String.concat ", " (Testgen.Registry.spec_names ()));
             Error Cmd.Exit.cli_error
-          | entries -> Ok (if mutants then entries else [ List.hd entries ]))
-        | Some s, Some i, false -> (
-          match Testgen.Registry.find ~spec:s ~impl:i with
-          | Some e -> Ok [ e ]
-          | None ->
-            Fmt.epr
-              "adtc testgen: no implementation named %s is registered for \
-               %s (have: %s)@."
-              i s
-              (String.concat ", "
-                 (List.map Testgen.Impl.name
-                    (Testgen.Registry.for_spec s
-                    @ Testgen.Registry.for_spec ~mutants:true s)));
+          | entries -> Ok entries)
+        | Some s, impl, false -> (
+          (* one implementation, resolved as the testgen verb does *)
+          match Testgen.Registry.resolve ~spec:s ~impl with
+          | Ok e -> Ok [ e ]
+          | Error (`Unknown_spec message | `Unknown_impl message) ->
+            Fmt.epr "adtc testgen: %s@." message;
             Error Cmd.Exit.cli_error)
       in
       match selection with
@@ -1078,7 +1071,7 @@ let replay_requests session path =
         | None -> ()
         | Some line -> (
           match Engine.Dispatch.handle_line ~read_line session line with
-          | Engine.Dispatch.Closed -> ()
+          | Engine.Dispatch.Closed _ -> ()
           | Engine.Dispatch.Reply _ | Engine.Dispatch.Silent -> loop ())
       in
       loop ())
@@ -1102,10 +1095,8 @@ let engine_trace_cmd =
     | Engine.Dispatch.Silent ->
       Fmt.epr "adtc trace: nothing to trace in a blank or comment line@.";
       2
-    | Engine.Dispatch.Reply _ | Engine.Dispatch.Closed ->
-      (match outcome with
-      | Engine.Dispatch.Reply line -> print_endline line
-      | _ -> print_endline "ok bye");
+    | Engine.Dispatch.Reply line | Engine.Dispatch.Closed line ->
+      print_endline line;
       (match result with
       | Some r ->
         print_endline
@@ -1158,17 +1149,14 @@ let engine_stats_cmd =
       print_string (Engine.Session.prometheus session);
       0
     end
-    else
-      match
-        Engine.Dispatch.handle_request session
-          (Engine.Protocol.Stats { verbose = false })
-      with
-      | Engine.Protocol.Ok_response payload ->
-        print_endline payload;
-        0
-      | Engine.Protocol.Error_response { code; message } ->
-        Fmt.epr "adtc stats: %s %s@." code message;
-        1
+    else begin
+      (* the stats verb never errors *)
+      Option.iter print_endline
+        (Engine.Protocol.payload
+           (Engine.Dispatch.handle_request session
+              (Engine.Protocol.Stats { verbose = false })));
+      0
+    end
   in
   let doc =
     "Report an engine session's metrics — optionally after replaying a \

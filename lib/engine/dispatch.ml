@@ -1,6 +1,6 @@
 open Adt
 
-type outcome = Silent | Reply of string | Closed
+type outcome = Silent | Reply of string | Closed of string
 
 let error code fmt = Fmt.kstr (fun message -> Protocol.Error_response { code; message }) fmt
 let ok fmt = Fmt.kstr (fun payload -> Protocol.Ok_response payload) fmt
@@ -24,7 +24,7 @@ let with_spec session name k =
 let parse_term ?vars spec src k =
   match Parser.parse_term spec ?vars src with
   | Ok term -> k term
-  | Error e -> error "parse" "%s" (Protocol.sanitize (Fmt.str "%a" Parser.pp_error e))
+  | Error e -> error "parse" "%a" Parser.pp_error e
 
 let charge_fuel ctx session steps =
   ctx.fuel <- ctx.fuel + steps;
@@ -37,8 +37,7 @@ let do_normalize ctx session entry term_src req_fuel poll =
     (* the persistent store already holds this term's normal form under
        this specification digest — answer without evaluating, charging no
        fuel and reporting zero steps (the memo-hit convention) *)
-    ok "normalize steps=0 %s"
-      (Protocol.sanitize (Fmt.str "%a" Interp.pp_value value))
+    ok "normalize steps=0 %a" Interp.pp_value value
   | None -> (
     let fuel = Limits.effective_fuel (Session.limits session) req_fuel in
     (* with_interp serializes evaluations on this specification's
@@ -58,8 +57,25 @@ let do_normalize ctx session entry term_src req_fuel poll =
       error "fuel" "normalization exceeded %d rewrite steps" fuel
     | value ->
       Session.persist_record session entry term value steps;
-      ok "normalize steps=%d %s" steps
-        (Protocol.sanitize (Fmt.str "%a" Interp.pp_value value)))
+      ok "normalize steps=%d %a" steps Interp.pp_value value)
+
+(* The stored-reply verbs (check, lint, testgen, prove) answer from the
+   replies persisted under the specification's store entry when one is
+   filed under [(kind, key)]. Otherwise [compute] answers inside the
+   [rewrite] span and says whether its reply may be filed. [entry] is
+   [None] when no loaded specification names the store entry. *)
+let find_or_compute ctx session entry ~kind ~key compute =
+  match Option.bind entry (Session.persist_meta_find ~kind ~key) with
+  | Some text -> Protocol.of_payload text
+  | None ->
+    let response, keep = Obs.Trace.with_span ctx.trace "rewrite" compute in
+    (match (entry, keep) with
+    | Some e, true ->
+      Option.iter
+        (Session.persist_meta_record session e ~kind ~key)
+        (Protocol.payload response)
+    | _ -> ());
+    response
 
 (* the check record kind carries the analysis pass version, as the lint
    kind below does: a verdict persisted by an older pass set is never
@@ -69,23 +85,16 @@ let check_kind = Fmt.str "check/p%d" Analysis.Lint.pass_version
 (* the payload renders one [Verify.summarize], the summary [adtc check]
    prints, so the verb and the command cannot disagree *)
 let do_check ctx session entry =
-  Obs.Trace.with_span ctx.trace "rewrite" @@ fun () ->
   let spec = Session.entry_spec entry in
   let name = Spec.name spec in
-  match Session.persist_meta_find entry ~kind:check_kind ~key:name with
-  | Some payload -> Protocol.Ok_response payload
-  | None ->
-    let s = Analysis.Verify.summarize spec in
-    let payload =
-      Fmt.str "check %s complete=%b consistent=%b missing=%d critical_pairs=%d"
-        name
-        (s.Analysis.Verify.s_holes = [])
-        s.Analysis.Verify.s_consistent s.Analysis.Verify.s_missing
-        (Analysis.Verify.critical_pairs s)
-    in
-    Session.persist_meta_record session entry ~kind:check_kind ~key:name
-      payload;
-    Protocol.Ok_response payload
+  find_or_compute ctx session (Some entry) ~kind:check_kind ~key:name
+  @@ fun () ->
+  let s = Analysis.Verify.summarize spec in
+  ( ok "check %s complete=%b consistent=%b missing=%d critical_pairs=%d" name
+      (s.Analysis.Verify.s_holes = [])
+      s.Analysis.Verify.s_consistent s.Analysis.Verify.s_missing
+      (Analysis.Verify.critical_pairs s),
+    true )
 
 let do_skeletons ctx entry =
   Obs.Trace.with_span ctx.trace "rewrite" @@ fun () ->
@@ -96,10 +105,7 @@ let do_skeletons ctx entry =
   | prompts ->
     ok "skeletons %s missing=%d: %s" name (List.length prompts)
       (String.concat " ; "
-         (List.map
-            (fun p ->
-              Protocol.sanitize (Fmt.str "%a" Term.pp p.Heuristics.missing_lhs))
-            prompts))
+         (List.map (fun p -> Term.to_string p.Heuristics.missing_lhs) prompts))
 
 (* the lint record kind carries the analysis pass version: a verdict
    persisted by an older rule set (say, before the ADT020-022 verification
@@ -108,121 +114,66 @@ let do_skeletons ctx entry =
 let lint_kind = Fmt.str "lint/p%d" Analysis.Lint.pass_version
 
 (* like metrics and slowlog, the body is framed by a findings count on the
-   first line; each finding is one sanitized diagnostic line *)
+   first line; each finding is one diagnostic line. A stored hit skips the
+   per-rule lint counters: the findings were metered by the run that
+   produced the reply (possibly another process) — rule totals count lint
+   executions, not replays *)
 let do_lint ctx session entry =
   let name = Spec.name (Session.entry_spec entry) in
-  match Session.persist_meta_find entry ~kind:lint_kind ~key:name with
-  | Some payload ->
-    (* a persisted hit skips the per-rule lint counters: the findings were
-       metered by the run that produced the payload (possibly another
-       process) — rule totals count lint executions, not replays *)
-    Protocol.Ok_response payload
-  | None ->
-    let diags =
-      Obs.Trace.with_span ctx.trace "rewrite" @@ fun () ->
-      Analysis.Lint.run (Session.entry_spec entry)
-    in
-    Metrics.record_rule_hits (Session.metrics session)
-      (List.map (fun d -> d.Analysis.Diagnostic.code) diags);
-    let header = Fmt.str "lint %s findings=%d" name (List.length diags) in
-    let payload =
-      String.concat "\n"
-        (header
-        :: List.map
-             (fun d -> Protocol.sanitize (Analysis.Diagnostic.to_line d))
-             diags)
-    in
-    Session.persist_meta_record session entry ~kind:lint_kind ~key:name payload;
-    Protocol.Ok_response payload
+  find_or_compute ctx session (Some entry) ~kind:lint_kind ~key:name
+  @@ fun () ->
+  let diags = Analysis.Lint.run (Session.entry_spec entry) in
+  Metrics.record_rule_hits (Session.metrics session)
+    (List.map (fun d -> d.Analysis.Diagnostic.code) diags);
+  ( Protocol.Ok_framed
+      {
+        header = Fmt.str "lint %s findings=%d" name (List.length diags);
+        body = List.map Analysis.Diagnostic.to_line diags;
+      },
+    true )
 
 (* the conformance suite resolves in the builtin implementation registry,
    not the session's loaded specifications: only OCaml implementations
    compiled into the binary can be run against their axioms *)
 let do_testgen ctx session ~spec ~impl ~count ~seed =
-  let resolved =
-    match impl with
-    | Some impl_name -> (
-      match Testgen.Registry.find ~spec ~impl:impl_name with
-      | Some entry -> Ok entry
-      | None ->
-        let registered =
-          Testgen.Registry.for_spec spec
-          @ Testgen.Registry.for_spec ~mutants:true spec
-        in
-        if registered = [] then
-          Error
-            (error "unknown-spec"
-               "no implementation is registered for %s (have: %s)" spec
-               (String.concat ", " (Testgen.Registry.spec_names ())))
-        else
-          Error
-            (error "unknown-impl"
-               "no implementation named %s is registered for %s (have: %s)"
-               impl_name spec
-               (String.concat ", " (List.map Testgen.Impl.name registered))))
-    | None -> (
-      match Testgen.Registry.default_for spec with
-      | Some entry -> Ok entry
-      | None ->
-        Error
-          (error "unknown-spec"
-             "no implementation is registered for %s (have: %s)" spec
-             (String.concat ", " (Testgen.Registry.spec_names ()))))
-  in
-  match resolved with
-  | Error e -> e
-  | Ok entry -> (
+  match Testgen.Registry.resolve ~spec ~impl with
+  | Error (`Unknown_spec message) -> error "unknown-spec" "%s" message
+  | Error (`Unknown_impl message) -> error "unknown-impl" "%s" message
+  | Ok impl ->
     let count = Option.value ~default:100 count in
     let seed = Option.value ~default:414243 seed in
     (* the suite is deterministic in (impl, count, seed), so the verdict
        persists under that key — but only when the spec is also loaded in
        the session, whose digest names the store entry *)
-    let meta_key =
-      Fmt.str "%s|%s|%d|%d" spec (Testgen.Impl.name entry) count seed
-    in
-    let sentry = Session.find session spec in
-    match
-      Option.bind sentry (fun e ->
-          Session.persist_meta_find e ~kind:"testgen" ~key:meta_key)
-    with
-    | Some payload -> Protocol.Ok_response payload
-    | None ->
-    let report =
-      Obs.Trace.with_span ctx.trace "testgen" @@ fun () ->
-      Testgen.Harness.conformance ~count ~seed entry
-    in
+    find_or_compute ctx session (Session.find session spec) ~kind:"testgen"
+      ~key:(Fmt.str "%s|%s|%d|%d" spec (Testgen.Impl.name impl) count seed)
+    @@ fun () ->
+    let report = Testgen.Harness.conformance ~count ~seed impl in
     let failures = Testgen.Harness.failures report in
     Metrics.record_testgen_run (Session.metrics session)
       ~failures:(List.map (fun (axiom, _) -> Axiom.name axiom) failures);
     let line ar =
+      let axiom = Axiom.name ar.Testgen.Harness.axiom in
       match ar.Testgen.Harness.failure with
-      | None ->
-        Fmt.str "axiom %s pass trials=%d" (Axiom.name ar.Testgen.Harness.axiom)
-          ar.Testgen.Harness.trials
+      | None -> Fmt.str "axiom %s pass trials=%d" axiom ar.Testgen.Harness.trials
       | Some f ->
-        Protocol.sanitize
-          (Fmt.str "axiom %s FAIL seed=%d at %a: %a"
-             (Axiom.name ar.Testgen.Harness.axiom)
-             f.Testgen.Harness.fail_seed Testgen.Harness.pp_valuation
-             f.Testgen.Harness.valuation
-             Testgen.Harness.pp_witness f.Testgen.Harness.witness)
+        Fmt.str "axiom %s FAIL seed=%d at %a: %a" axiom
+          f.Testgen.Harness.fail_seed Testgen.Harness.pp_valuation
+          f.Testgen.Harness.valuation Testgen.Harness.pp_witness
+          f.Testgen.Harness.witness
     in
-    let header =
-      Fmt.str "testgen %s impl=%s seed=%d count=%d size=%d failures=%d axioms=%d"
-        report.Testgen.Harness.spec_name report.Testgen.Harness.impl_name seed
-        count report.Testgen.Harness.gen_size (List.length failures)
-        (List.length report.Testgen.Harness.axiom_reports)
-    in
-    let payload =
-      String.concat "\n"
-        (header :: List.map line report.Testgen.Harness.axiom_reports)
-    in
-    (match sentry with
-    | Some e ->
-      Session.persist_meta_record session e ~kind:"testgen" ~key:meta_key
-        payload
-    | None -> ());
-    Protocol.Ok_response payload)
+    ( Protocol.Ok_framed
+        {
+          header =
+            Fmt.str
+              "testgen %s impl=%s seed=%d count=%d size=%d failures=%d \
+               axioms=%d"
+              report.Testgen.Harness.spec_name report.Testgen.Harness.impl_name
+              seed count report.Testgen.Harness.gen_size (List.length failures)
+              (List.length report.Testgen.Harness.axiom_reports);
+          body = List.map line report.Testgen.Harness.axiom_reports;
+        },
+      true )
 
 let do_prove ctx session entry vars lhs_src rhs_src req_fuel poll =
   let spec = Session.entry_spec entry in
@@ -256,24 +207,16 @@ let do_prove ctx session entry vars lhs_src rhs_src req_fuel poll =
       (Fmt.list ~sep:Fmt.comma var)
       (List.sort compare vars) Term.pp lhs Term.pp rhs
   in
-  match Session.persist_meta_find entry ~kind:"proof" ~key:meta_key with
-  | Some payload -> Protocol.Ok_response payload
-  | None -> (
-    let outcome =
-      Obs.Trace.with_span ctx.trace "rewrite" @@ fun () ->
-      Proof.prove config (lhs, rhs)
-    in
-    charge_fuel ctx session !steps;
-    match outcome with
-    | Proof.Proved proof ->
-      let payload =
-        Fmt.str "prove %s proved size=%d depth=%d" name
-          (Proof.proof_size proof) (Proof.proof_depth proof)
-      in
-      Session.persist_meta_record session entry ~kind:"proof" ~key:meta_key
-        payload;
-      Protocol.Ok_response payload
-    | Proof.Unknown _ -> ok "prove %s unknown" name)
+  find_or_compute ctx session (Some entry) ~kind:"proof" ~key:meta_key
+  @@ fun () ->
+  let outcome = Proof.prove config (lhs, rhs) in
+  charge_fuel ctx session !steps;
+  match outcome with
+  | Proof.Proved proof ->
+    ( ok "prove %s proved size=%d depth=%d" name (Proof.proof_size proof)
+        (Proof.proof_depth proof),
+      true )
+  | Proof.Unknown _ -> (ok "prove %s unknown" name, false)
 
 let do_stats session verbose =
   let m = Metrics.snapshot (Session.metrics session) in
@@ -326,7 +269,8 @@ let do_metrics session =
   let lines =
     match List.rev lines with "" :: rest -> List.rev rest | _ -> lines
   in
-  ok "metrics lines=%d\n%s" (List.length lines) (String.concat "\n" lines)
+  Protocol.Ok_framed
+    { header = Fmt.str "metrics lines=%d" (List.length lines); body = lines }
 
 let render_slow_entry e =
   let spans =
@@ -348,14 +292,15 @@ let do_slowlog session =
       "the slow-request log is disabled; start the engine with --slowlog-ms"
   | Some sl ->
     let entries = Obs.Slowlog.entries sl in
-    let header =
-      Fmt.str "slowlog entries=%d threshold_ms=%g capacity=%d"
-        (List.length entries)
-        (Obs.Slowlog.threshold_s sl *. 1000.)
-        (Obs.Slowlog.capacity sl)
-    in
-    ok "%s"
-      (String.concat "\n" (header :: List.map render_slow_entry entries))
+    Protocol.Ok_framed
+      {
+        header =
+          Fmt.str "slowlog entries=%d threshold_ms=%g capacity=%d"
+            (List.length entries)
+            (Obs.Slowlog.threshold_s sl *. 1000.)
+            (Obs.Slowlog.capacity sl);
+        body = List.map render_slow_entry entries;
+      }
 
 (* {1 The document-session verbs} *)
 
@@ -370,7 +315,7 @@ let do_session_open ctx session name =
     Docsession.Manager.open_doc (Session.docs session) ~name ~source
   in
   match result with
-  | Error e -> error "parse" "%s" (Protocol.sanitize e)
+  | Error e -> error "parse" "%s" e
   | Ok doc -> ok "%s" (Docsession.Manager.summary_line "session-open" doc)
 
 let do_session_edit ctx session name body =
@@ -380,9 +325,8 @@ let do_session_edit ctx session name body =
   in
   match result with
   | Error (Docsession.Manager.Not_open, e) ->
-    error "unknown-spec" "%s" (Protocol.sanitize e)
-  | Error (Docsession.Manager.Unparsable, e) ->
-    error "parse" "%s" (Protocol.sanitize e)
+    error "unknown-spec" "%s" e
+  | Error (Docsession.Manager.Unparsable, e) -> error "parse" "%s" e
   | Ok doc -> ok "%s" (Docsession.Manager.summary_line "session-edit" doc)
 
 let do_session_status session name =
@@ -392,15 +336,16 @@ let do_session_status session name =
       name
   | Some doc ->
     let obligations = doc.Docsession.Manager.obligations in
-    let header =
-      Fmt.str "session-status %s version=%d axioms=%d obligations=%d digest=%s"
-        name doc.Docsession.Manager.version
-        doc.Docsession.Manager.summary.Docsession.Manager.axioms
-        (List.length obligations) doc.Docsession.Manager.digest
-    in
-    ok "%s"
-      (String.concat "\n"
-         (header :: List.map Docsession.Manager.obligation_line obligations))
+    Protocol.Ok_framed
+      {
+        header =
+          Fmt.str
+            "session-status %s version=%d axioms=%d obligations=%d digest=%s"
+            name doc.Docsession.Manager.version
+            doc.Docsession.Manager.summary.Docsession.Manager.axioms
+            (List.length obligations) doc.Docsession.Manager.digest;
+        body = List.map Docsession.Manager.obligation_line obligations;
+      }
 
 let handle_request ?poll ?ctx ?body session request =
   let ctx = match ctx with Some c -> c | None -> null_ctx () in
@@ -474,7 +419,8 @@ let handle_line_obs ?read_line session line =
   | Ok (Some Protocol.Quit) ->
     let trace = trace_for_line () in
     Metrics.record_request metrics Protocol.Quit;
-    (Closed, Obs.Trace.finish trace)
+    ( Closed (Protocol.render (handle_request session Protocol.Quit)),
+      Obs.Trace.finish trace )
   | Ok (Some request) ->
     let trace = trace_for_line () in
     Metrics.record_request metrics request;
@@ -520,7 +466,7 @@ let handle_line_obs ?read_line session line =
         | exception e ->
           (* error isolation: an internal failure answers this request and
              only this request *)
-          error "internal" "%s" (Protocol.sanitize (Printexc.to_string e)))
+          error "internal" "%s" (Printexc.to_string e))
     in
     let rendered =
       Obs.Trace.with_span trace "respond" (fun () -> Protocol.render response)
@@ -536,7 +482,7 @@ let handle_line_obs ?read_line session line =
       ~error:
         (match response with
         | Protocol.Error_response _ -> true
-        | Protocol.Ok_response _ -> false)
+        | Protocol.Ok_response _ | Protocol.Ok_framed _ -> false)
       ();
     let result = Obs.Trace.finish trace in
     feed_slowlog session request ctx elapsed result;

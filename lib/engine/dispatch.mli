@@ -17,7 +17,9 @@
 type outcome =
   | Silent  (** Blank or comment line: no response. *)
   | Reply of string  (** The rendered response line. *)
-  | Closed  (** A [quit] request: the server loop should stop. *)
+  | Closed of string
+      (** A [quit] request, with its rendered reply: the server loop
+          prints the reply and stops. *)
 
 (** Per-request observation: the span tree under construction and the
     rewrite steps this request has charged (the session-wide

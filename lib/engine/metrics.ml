@@ -53,9 +53,8 @@ let make_stripe () =
 
 let default_stripes = min 64 (max 8 (Domain.recommended_domain_count ()))
 
-let create ?(stripes = default_stripes) () =
-  if stripes < 1 then invalid_arg "Metrics.create: stripes must be positive";
-  { stripes = Array.init stripes (fun _ -> make_stripe ()) }
+let create () =
+  { stripes = Array.init default_stripes (fun _ -> make_stripe ()) }
 
 let stripes t = Array.length t.stripes
 
@@ -156,7 +155,7 @@ let stripe_snapshots t = Array.to_list (Array.map snapshot_stripe t.stripes)
    stripe the snapshot is byte-for-byte what the stripe recorded. *)
 let snapshot t =
   match stripe_snapshots t with
-  | [] -> assert false (* create enforces stripes >= 1 *)
+  | [] -> assert false (* there are at least 8 stripes *)
   | first :: rest -> List.fold_left merge first rest
 
 let by_kind snap =

@@ -22,14 +22,13 @@
 
 type t
 
-val create : ?stripes:int -> unit -> t
-(** [stripes] (default: the machine's recommended domain count, at least
-    8) fixes the number of per-domain stripes; domains map onto stripes
-    by [Domain.self mod stripes], so more domains than stripes only
-    shares — never corrupts. Raises [Invalid_argument] when
-    [stripes < 1]. *)
+val create : unit -> t
 
 val stripes : t -> int
+(** The number of per-domain stripes: the machine's recommended domain
+    count, at least 8 and at most 64. Domains map onto stripes by
+    [Domain.self mod stripes], so more domains than stripes only
+    shares — never corrupts. *)
 
 (** {1 Recording}
 

@@ -26,6 +26,7 @@ type request =
 
 type response =
   | Ok_response of string
+  | Ok_framed of { header : string; body : string list }
   | Error_response of { code : string; message : string }
 
 let sanitize s =
@@ -242,9 +243,26 @@ let parse line =
       | Error Usage -> Error (Fmt.str "%s expects: %s" kind r.usage)
       | Error (Invalid message) -> Error message))
 
+(* the one place a reply's text is made protocol-safe: every line is
+   sanitized, so no CR, LF or TAB survives inside a line, and a frame's
+   lines are joined here *)
 let render = function
-  | Ok_response payload -> "ok " ^ payload
-  | Error_response { code; message } -> Fmt.str "error %s %s" code message
+  | Ok_response payload -> "ok " ^ sanitize payload
+  | Ok_framed { header; body } ->
+    String.concat "\n" (("ok " ^ sanitize header) :: List.map sanitize body)
+  | Error_response { code; message } ->
+    Fmt.str "error %s %s" code (sanitize message)
+
+let payload = function
+  | Error_response _ -> None
+  | ok ->
+    let line = render ok in
+    Some (String.sub line 3 (String.length line - 3))
+
+let of_payload text =
+  match String.split_on_char '\n' text with
+  | header :: (_ :: _ as body) -> Ok_framed { header; body }
+  | _ -> Ok_response text
 
 (* positions in [kinds] *)
 let kind_index = function

@@ -52,16 +52,18 @@
     disabled; [busy] is the one line a socket server sends a client it
     turns away beyond its connection limit.
 
-    Payloads are single-line (term renderings are whitespace-squashed by
-    {!sanitize}), except for the framed bodies: [metrics], [slowlog],
-    [lint] and [session-status] answer a first line announcing how many
-    raw lines follow ([ok metrics lines=N] / [ok slowlog entries=N ...] /
-    [ok lint SPEC findings=N] / [ok session-status SPEC ...
-    obligations=N ...]) and then exactly that many further lines, so
-    line-oriented clients can frame the body; [testgen] frames
-    identically with [ok testgen SPEC impl=NAME seed=S count=N size=K
-    failures=F axioms=A] followed by one line per axiom. An error
-    response never kills the session — the next request is served
+    {!render} is the one place a reply becomes protocol text: it
+    sanitizes every line it prints (see {!sanitize}), so a payload, an
+    error message or a framed line never carries a raw CR, LF or TAB,
+    whatever request bytes or term renderings it echoes. Replies are
+    one line, except for the framed bodies ({!Ok_framed}): [metrics],
+    [slowlog], [lint], [testgen] and [session-status] answer a header
+    line announcing how many lines follow ([ok metrics lines=N] /
+    [ok slowlog entries=N ...] / [ok lint SPEC findings=N] / [ok testgen
+    SPEC impl=NAME seed=S count=N size=K failures=F axioms=A] / [ok
+    session-status SPEC ... obligations=N ...]) and then exactly that
+    many further lines, so line-oriented clients can frame the body. An
+    error response never kills the session — the next request is served
     normally. *)
 
 type request =
@@ -102,6 +104,9 @@ type request =
 
 type response =
   | Ok_response of string  (** The payload, without the leading [ok]. *)
+  | Ok_framed of { header : string; body : string list }
+      (** A framed reply: [ok HEADER] and then one line per [body]
+          element. The header announces the body's length. *)
   | Error_response of { code : string; message : string }
 
 val parse : string -> (request option, string) result
@@ -112,7 +117,19 @@ val parse : string -> (request option, string) result
     arity errors are derived. *)
 
 val render : response -> string
-(** The response line, newline not included. *)
+(** The response text, final newline not included: one line, or a framed
+    reply's lines joined by newlines. Each line is {!sanitize}d — the
+    reply invariant of the protocol is held here and nowhere else. *)
+
+val payload : response -> string option
+(** An ok reply's rendered text after [ok ]: its sanitized lines joined
+    by newlines — what the result store keeps of a check, lint, testgen
+    or proof reply. [None] for an error. *)
+
+val of_payload : string -> response
+(** The reply a {!payload} came from: one line is an {!Ok_response},
+    several are an {!Ok_framed}. For any [p] that {!payload} returned,
+    [render (of_payload p)] is ["ok " ^ p]. *)
 
 val kinds : string list
 (** Every kind keyword, once, in the order of the request table's rows,
@@ -130,5 +147,7 @@ val spec_name : request -> string option
     slow-request log entry records. *)
 
 val sanitize : string -> string
-(** Collapses all whitespace runs (newlines included) to single spaces —
-    every payload fits one protocol line. *)
+(** Collapses all whitespace runs (CR, LF and TAB included) to single
+    spaces and trims the ends, so the text fits one protocol line.
+    {!render} applies it to every line it prints; callers build replies
+    from raw text and leave it to [render]. *)

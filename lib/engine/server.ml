@@ -21,7 +21,7 @@ let serve ?(echo = false) session ic oc =
       | Dispatch.Reply response ->
         say response;
         loop ()
-      | Dispatch.Closed -> say "ok bye")
+      | Dispatch.Closed response -> say response)
   in
   loop ();
   (* results computed on this connection survive the process: flush the

@@ -158,9 +158,9 @@ let load_persist ?cache_capacity store spec =
   }
 
 let create ?fuel ?timeout ?cache_capacity ?slowlog_ms ?slowlog_capacity
-    ?tracing ?stripes ?store ?env specs =
+    ?tracing ?store ?env specs =
   let limits = Limits.v ?fuel ?timeout () in
-  let metrics = Metrics.create ?stripes () in
+  let metrics = Metrics.create () in
   let stripes = Metrics.stripes metrics in
   let slowlog =
     Option.map

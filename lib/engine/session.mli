@@ -33,7 +33,6 @@ val create :
   ?slowlog_ms:float ->
   ?slowlog_capacity:int ->
   ?tracing:bool ->
-  ?stripes:int ->
   ?store:Persist.Store.t ->
   ?env:(string -> Adt.Spec.t option) ->
   Adt.Spec.t list ->
@@ -54,9 +53,8 @@ val create :
     (the log needs span breakdowns), and disabled tracing costs ~nothing
     (benchmark E11).
 
-    [stripes] fixes the number of per-domain stripes for both the
-    metrics and the interpreter slots (default: the machine's
-    recommended domain count, at least 8 — see {!Metrics.create}).
+    The interpreter slots are striped per domain like the metrics, over
+    {!Metrics.stripes} slots.
 
     [store] plugs in the persistent on-disk result store: each
     specification's entry (keyed by {!Adt.Spec_digest.spec}) is loaded at
@@ -134,8 +132,8 @@ val persist_record : t -> entry -> Adt.Term.t -> Adt.Interp.value -> int -> unit
 
 val persist_meta_find : entry -> kind:string -> key:string -> string option
 val persist_meta_record : t -> entry -> kind:string -> key:string -> string -> unit
-(** Opaque response payloads (check/lint/proof/testgen) under the same
-    digest-keyed entry. The in-memory table holds at most [cache_capacity]
+(** Stored replies (check/lint/proof/testgen, as {!Protocol.payload}
+    text) under the same digest-keyed entry. The in-memory table holds at most [cache_capacity]
     payloads and evicts the least recently used, since [prove] goals and
     [testgen] keys are the client's choice; an evicted payload is
     recomputed and filed again on its next request. While a [(kind, key)]

@@ -90,3 +90,23 @@ let spec_names () =
       let n = Impl.spec_name e in
       if List.exists (same_name n) acc then acc else acc @ [ n ])
     [] all
+
+let resolve ~spec ~impl =
+  let no_spec () =
+    Error
+      (`Unknown_spec
+        (Fmt.str "no implementation is registered for %s (have: %s)" spec
+           (String.concat ", " (spec_names ()))))
+  in
+  match impl with
+  | None -> ( match default_for spec with Some e -> Ok e | None -> no_spec ())
+  | Some name -> (
+    match (find ~spec ~impl:name, for_spec spec @ for_spec ~mutants:true spec) with
+    | Some e, _ -> Ok e
+    | None, [] -> no_spec ()
+    | None, registered ->
+      Error
+        (`Unknown_impl
+          (Fmt.str "no implementation named %s is registered for %s (have: %s)"
+             name spec
+             (String.concat ", " (List.map Impl.name registered)))))

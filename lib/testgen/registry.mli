@@ -23,6 +23,17 @@ val find : spec:string -> impl:string -> Impl.t option
 val default_for : string -> Impl.t option
 (** The first clean implementation of the named specification. *)
 
+val resolve :
+  spec:string ->
+  impl:string option ->
+  (Impl.t, [ `Unknown_spec of string | `Unknown_impl of string ]) result
+(** The implementation a [SPEC] and an optional [impl=NAME] select: the
+    named one, or {!default_for} the spec when [impl] is absent. The
+    error carries the message the testgen verb and [adtc testgen] print:
+    [`Unknown_spec] when nothing is registered for the spec,
+    [`Unknown_impl] when the spec has implementations but none of that
+    name. *)
+
 val spec_names : unit -> string list
 (** Specification names with at least one registered implementation, in
     registration order, without duplicates. *)

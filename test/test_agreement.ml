@@ -77,7 +77,7 @@ let pool () =
 let reply session line =
   match Engine.Dispatch.handle_line session line with
   | Engine.Dispatch.Reply r -> r
-  | Engine.Dispatch.Silent | Engine.Dispatch.Closed ->
+  | Engine.Dispatch.Silent | Engine.Dispatch.Closed _ ->
     Alcotest.failf "no reply for %S" line
 
 let field reply key =

@@ -9,7 +9,7 @@ let reply session line =
   match Dispatch.handle_line session line with
   | Dispatch.Reply r -> r
   | Dispatch.Silent -> Alcotest.failf "unexpected Silent for %S" line
-  | Dispatch.Closed -> Alcotest.failf "unexpected Closed for %S" line
+  | Dispatch.Closed _ -> Alcotest.failf "unexpected Closed for %S" line
 
 let contains = Astring_contains.contains
 
@@ -210,11 +210,24 @@ let generate st =
     all_good = List.for_all (fun (_, ok, _) -> ok) opts;
   }
 
+(* one protocol line: no CR, LF or TAB inside it *)
+let one_line reply =
+  not (String.exists (function '\r' | '\n' | '\t' -> true | _ -> false) reply)
+
 let parse_property g =
   let fail fmt = QCheck2.Test.fail_reportf ("%S: " ^^ fmt) g.line in
   match Protocol.parse g.line with
   | exception e -> fail "raised %s" (Printexc.to_string e)
   | result ->
+    (* a refused line's reply is one well-formed line, whatever bytes the
+       message echoes *)
+    (match result with
+    | Error message ->
+      let reply =
+        Protocol.render (Protocol.Error_response { code = "protocol"; message })
+      in
+      if not (one_line reply) then fail "refusal rendered as %S" reply
+    | Ok _ -> ());
     (match result with
     | Ok (Some r)
       when Some (Protocol.kind_name r)
@@ -276,6 +289,23 @@ let test_error_isolation () =
   Alcotest.(check int) "errors counted" 3 m.Metrics.errors;
   Alcotest.(check int) "requests counted" 4 m.Metrics.requests
 
+(* request bytes echoed into an error message never break the reply line:
+   a CR inside a word reaches the message, and the reply still is one
+   line *)
+let test_echoed_bytes_stay_one_line () =
+  let session = queue_session () in
+  List.iter
+    (fun (line, expected) ->
+      let r = reply session line in
+      Alcotest.(check bool) (Fmt.str "%S answers one line" line) true (one_line r);
+      check_prefix (Fmt.str "%S" line) expected r)
+    [
+      ("frob\rnicate Queue", "error protocol unknown request frob nicate (expected ");
+      ("check Qu\reue", "error unknown-spec no specification named Qu eue is loaded");
+      ( "session-status a\rb",
+        "error unknown-spec no open document named a b (session-open it first)" );
+    ]
+
 let test_fuel_limit () =
   let session = queue_session () in
   let r = reply session
@@ -322,7 +352,7 @@ let test_quit_and_silent () =
   | Dispatch.Silent -> ()
   | _ -> Alcotest.fail "comment should be silent");
   match Dispatch.handle_line session "quit" with
-  | Dispatch.Closed -> ()
+  | Dispatch.Closed reply -> Alcotest.(check string) "quit reply" "ok bye" reply
   | _ -> Alcotest.fail "quit should close"
 
 let test_bounded_session_cache () =
@@ -469,6 +499,8 @@ let suite =
     test_parse_generated;
     Helpers.case "repeated requests hit the shared cache" test_cross_request_cache;
     Helpers.case "errors never kill the session" test_error_isolation;
+    Helpers.case "echoed request bytes stay on one reply line"
+      test_echoed_bytes_stay_one_line;
     Helpers.case "per-request fuel limits" test_fuel_limit;
     Helpers.case "session fuel is a ceiling" test_session_fuel_ceiling;
     Helpers.case "stats reports every counter" test_stats_counters;

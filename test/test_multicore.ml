@@ -12,7 +12,7 @@ let handle session line =
   match Dispatch.handle_line session line with
   | Dispatch.Reply r -> r
   | Dispatch.Silent -> "<silent>"
-  | Dispatch.Closed -> "<closed>"
+  | Dispatch.Closed _ -> "<closed>"
 
 let check_prefix what prefix got =
   Alcotest.(check bool)
@@ -22,7 +22,7 @@ let check_prefix what prefix got =
     && String.equal (String.sub got 0 (String.length prefix)) prefix)
 
 let test_metrics_merge_law () =
-  let m = Metrics.create ~stripes:4 () in
+  let m = Metrics.create () in
   let n_domains = 4 and per = 100 in
   let domains =
     List.init n_domains (fun _ ->
@@ -53,7 +53,7 @@ let test_metrics_merge_law () =
   (* the merge law itself: snapshot = fold merge over the stripe
      decomposition, bucket by bucket *)
   let stripes = Metrics.stripe_snapshots m in
-  Alcotest.(check int) "stripe count" 4 (List.length stripes);
+  Alcotest.(check int) "stripe count" (Metrics.stripes m) (List.length stripes);
   let folded =
     List.fold_left Metrics.merge (List.hd stripes) (List.tl stripes)
   in
@@ -79,7 +79,7 @@ let test_metrics_merge_law () =
   Alcotest.(check bool) "work spread over stripes" true (nonzero >= 2)
 
 let test_concurrent_dispatch_exact () =
-  let session = Session.create ~stripes:8 [ Queue_spec.spec ] in
+  let session = Session.create [ Queue_spec.spec ] in
   let n_domains = 4 and per = 50 in
   (* workers return their replies; assertions run on the main domain
      only, because Alcotest's reporter is not domain-safe *)
@@ -118,7 +118,7 @@ let test_concurrent_dispatch_exact () =
           (float_of_int total)))
 
 let test_lazy_interpreter_slots () =
-  let session = Session.create ~stripes:8 [ Queue_spec.spec ] in
+  let session = Session.create [ Queue_spec.spec ] in
   check_prefix "main-domain request" "ok normalize"
     (handle session "normalize Queue IS_EMPTY?(NEW)");
   let c1 = Session.cache_totals session in

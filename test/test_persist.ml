@@ -389,7 +389,7 @@ let mask_steps line =
 let reply session line =
   match Dispatch.handle_line session line with
   | Dispatch.Reply r -> r
-  | Dispatch.Silent | Dispatch.Closed -> Alcotest.failf "no reply for %S" line
+  | Dispatch.Silent | Dispatch.Closed _ -> Alcotest.failf "no reply for %S" line
 
 let queue_requests =
   (* random constructor queues under each observer, plus repeats so the
@@ -796,6 +796,96 @@ let test_proof_persists_warm () =
   | Some t -> Alcotest.(check bool) "miss counted" true (t.Session.misses > 0));
   Persist.Store.close store2
 
+(* dune runtest runs from _build/default/test; a direct dune exec runs
+   from the repo root *)
+let faulty_spec file =
+  let dir =
+    Option.value ~default:"../specs/faulty"
+      (List.find_opt Sys.file_exists [ "../specs/faulty"; "specs/faulty" ])
+  in
+  let path = Filename.concat dir file in
+  let ic = open_in_bin path in
+  let src =
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+  in
+  match Parser.parse_specs src with
+  | Ok specs -> List.nth specs (List.length specs - 1)
+  | Error e -> Alcotest.failf "%s: %a" path Parser.pp_error e
+
+(* framed replies are stored as their rendered lines after "ok ", joined
+   by newlines, and replay byte-identically in a fresh session; the
+   records are pinned, so a drift of the stored text fails here *)
+let test_framed_payloads_persist () =
+  with_dir @@ fun dir ->
+  let leaky = faulty_spec "missing_case.adt" in
+  let specs = [ Adt_specs.Queue_spec.spec; leaky ] in
+  let lint = "lint LeakyQueue"
+  and testgen = "testgen impl=mutant-lifo-front seed=414243 count=40 Queue" in
+  let store1 = Persist.Store.open_ dir in
+  let cold = Session.create ~store:store1 specs in
+  let cold_lint = reply cold lint in
+  let cold_testgen = reply cold testgen in
+  Session.persist_flush cold;
+  Persist.Store.close store1;
+  let store2 = Persist.Store.open_ dir in
+  let warm = Session.create ~store:store2 specs in
+  Alcotest.(check string) "lint findings byte-identical warm" cold_lint
+    (reply warm lint);
+  Alcotest.(check string) "testgen verdict byte-identical warm" cold_testgen
+    (reply warm testgen);
+  (match Session.persist_totals warm with
+  | None -> Alcotest.fail "warm session has a store"
+  | Some t -> Alcotest.(check int) "both answered from the store" 2 t.Session.hits);
+  let stored spec ~kind ~key =
+    List.find_map
+      (fun r ->
+        if String.equal r.Persist.Store.kind kind
+           && String.equal r.Persist.Store.key key
+        then Some r.Persist.Store.value
+        else None)
+      (Persist.Store.load store2 ~digest:(Spec_digest.spec spec))
+  in
+  Alcotest.(check (option string))
+    "the lint record"
+    (Some
+       "lint LeakyQueue findings=4\n\
+        ADT001 missing-case error LeakyQueue, op POP: no axiom covers \
+        boundary case POP(NEWQ); Please supply an axiom defining POP(NEWQ) = \
+        ? (boundary condition: easy to overlook!) [result sort LeakyQueue] \
+        (suggest: stub with POP(NEWQ) = error and refine)\n\
+        ADT001 missing-case error LeakyQueue, op PEEK: no axiom covers \
+        boundary case PEEK(NEWQ); Please supply an axiom defining PEEK(NEWQ) \
+        = ? (boundary condition: easy to overlook!) [result sort Elem] \
+        (suggest: stub with PEEK(NEWQ) = error and refine)\n\
+        ADT020 sufficient-completeness error LeakyQueue, op POP: the ground \
+        constructor context POP(NEWQ) is matched by no executable axiom: the \
+        specification is not sufficiently complete (suggest: add an axiom \
+        with left-hand side POP(NEWQ))\n\
+        ADT020 sufficient-completeness error LeakyQueue, op PEEK: the ground \
+        constructor context PEEK(NEWQ) is matched by no executable axiom: \
+        the specification is not sufficiently complete (suggest: add an \
+        axiom with left-hand side PEEK(NEWQ))")
+    (stored leaky
+       ~kind:(Fmt.str "lint/p%d" Analysis.Lint.pass_version)
+       ~key:"LeakyQueue");
+  Alcotest.(check (option string))
+    "the testgen record"
+    (Some
+       "testgen Queue impl=mutant-lifo-front seed=414243 count=40 size=7 \
+        failures=1 axioms=6\n\
+        axiom 1 pass trials=1\n\
+        axiom 2 pass trials=40\n\
+        axiom 3 pass trials=1\n\
+        axiom 4 FAIL seed=414247 at {i -> ITEM2; q -> ADD(NEW, ITEM1)}: left \
+        denotes ITEM2 right denotes ITEM1\n\
+        axiom 5 pass trials=1\n\
+        axiom 6 pass trials=40")
+    (stored Adt_specs.Queue_spec.spec ~kind:"testgen"
+       ~key:"Queue|mutant-lifo-front|40|414243");
+  Persist.Store.close store2
+
 (* client-chosen meta keys are bounded by the cache capacity: a payload
    pushed out by a newer one is recomputed, never served stale *)
 let test_meta_bounded () =
@@ -908,6 +998,8 @@ let suite =
       test_proof_persists_warm;
     Alcotest.test_case "a lint pass-version bump invalidates cached verdicts"
       `Quick test_lint_pass_version_invalidates;
+    Alcotest.test_case "framed lint and testgen replies survive a restart"
+      `Quick test_framed_payloads_persist;
     Alcotest.test_case "an append writes exactly one frame" `Quick
       test_append_one_frame;
     Alcotest.test_case "a torn frame serves the prefix and is cut" `Quick

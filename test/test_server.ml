@@ -425,7 +425,7 @@ let test_no_reset_after_stop () =
    scraped Prometheus counters equal the exact sum of what the clients
    did — nothing lost to striping, nothing double-counted. *)
 let test_multi_domain_exact_metrics () =
-  let session = Session.create ~stripes:4 [ Queue_spec.spec ] in
+  let session = Session.create [ Queue_spec.spec ] in
   let path, stop, server = start_server ~domains:4 ~max_clients:32 session in
   let k = 6 and per = 25 in
   (* workers collect their replies; the assertions run after the join *)
