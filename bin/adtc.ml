@@ -1058,24 +1058,6 @@ let batch_cmd =
       $ cache_capacity_arg $ slowlog_ms_arg $ slowlog_capacity_arg
       $ cache_dir_arg $ cache_max_bytes_arg $ requests_arg)
 
-(* a session-edit body is read off the script by the dispatcher, and a
-   quit ends the replay, as [adtc batch] and the socket server do *)
-let replay_requests session path =
-  let ic = open_in path in
-  let read_line () = In_channel.input_line ic in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let rec loop () =
-        match read_line () with
-        | None -> ()
-        | Some line -> (
-          match Engine.Dispatch.handle_line ~read_line session line with
-          | Engine.Dispatch.Closed _ -> ()
-          | Engine.Dispatch.Reply _ | Engine.Dispatch.Silent -> loop ())
-      in
-      loop ())
-
 let engine_trace_cmd =
   let request_arg =
     Arg.(
@@ -1142,9 +1124,15 @@ let engine_stats_cmd =
       make_session ?slowlog_ms ?slowlog_capacity ?cache_dir ?cache_max_bytes
         libs files ~fuel ~timeout ~cache_capacity
     in
-    Option.iter (replay_requests session) requests;
-    (* stats is often the whole process: make the replay's results durable *)
-    Engine.Session.persist_flush session;
+    (* the batch loop with its replies discarded; it also flushes the
+       replay's results to the store, since stats is often the whole
+       process *)
+    Option.iter
+      (fun path ->
+        In_channel.with_open_text path (fun ic ->
+            Out_channel.with_open_text Filename.null (fun oc ->
+                Engine.Server.serve session ic oc)))
+      requests;
     if prometheus then begin
       print_string (Engine.Session.prometheus session);
       0

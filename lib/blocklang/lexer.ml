@@ -36,8 +36,6 @@ type token =
 type located = { token : token; line : int; col : int }
 type error = { line : int; col : int; message : string }
 
-let pp_error ppf e = Fmt.pf ppf "%d:%d: %s" e.line e.col e.message
-
 let keyword = function
   | "begin" -> Some Kbegin
   | "end" -> Some Kend

@@ -38,6 +38,5 @@ type token =
 type located = { token : token; line : int; col : int }
 type error = { line : int; col : int; message : string }
 
-val pp_error : error Fmt.t
 val pp_token : token Fmt.t
 val tokenize : string -> (located list, error) result

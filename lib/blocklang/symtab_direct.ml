@@ -33,5 +33,3 @@ let rec retrieve scopes id =
       match top.knows with
       | None -> retrieve rest id
       | Some k -> if List.mem id k then retrieve rest id else None))
-
-let depth = List.length

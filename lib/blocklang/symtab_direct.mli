@@ -4,5 +4,3 @@
     {!Symtab_intf.SYMTAB} interface. *)
 
 include Symtab_intf.SYMTAB
-
-val depth : t -> int

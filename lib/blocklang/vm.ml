@@ -34,9 +34,6 @@ let pp_instr ppf = function
   | Ret -> Fmt.string ppf "ret"
   | Halt -> Fmt.string ppf "halt"
 
-let pp_program ppf p =
-  Array.iteri (fun i instr -> Fmt.pf ppf "%3d: %a@." i pp_instr instr) p.code
-
 exception Stuck of string
 
 let prim op a b =

@@ -27,7 +27,6 @@ type value = Vint of int | Vbool of bool
 
 val pp_value : value Fmt.t
 val pp_instr : instr Fmt.t
-val pp_program : program Fmt.t
 
 exception Stuck of string
 (** Type-confused, underflowing, or out-of-range code — impossible for

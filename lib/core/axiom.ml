@@ -54,7 +54,6 @@ let is_left_linear a =
   List.for_all (fun (x, _) -> count x a.lhs <= 1) (Term.vars a.lhs)
 
 let rename f a = { a with lhs = Term.rename f a.lhs; rhs = Term.rename f a.rhs }
-let freshen ~suffix a = rename (fun x -> x ^ suffix) a
 
 let check sg a =
   match Term.check sg a.lhs with

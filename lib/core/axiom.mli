@@ -45,10 +45,6 @@ val is_executable : t -> bool
 
 val rename : (string -> string) -> t -> t
 
-val freshen : suffix:string -> t -> t
-(** Appends [suffix] to every variable name; used to separate variable
-    namespaces when overlapping two axioms. *)
-
 val check : Signature.t -> t -> (unit, string) result
 (** Both sides well formed in the signature. *)
 

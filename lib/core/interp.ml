@@ -8,10 +8,10 @@ type t = {
 let create ?(fuel = Rewrite.default_fuel) ?(memo = false) ?memo_capacity spec =
   {
     spec;
-    (* keyed by content digest: re-creating an interpreter for an
-       unchanged spec (server restart, session reload) reuses the
-       compiled rule index instead of recompiling it *)
-    system = Rewrite.of_spec_keyed ~key:(Spec_digest.spec spec) spec;
+    (* compiled afresh: compiling costs less than digesting the spec to
+       key a shared copy, and interpreters that must share one system
+       get it through [fork] *)
+    system = Rewrite.of_spec spec;
     fuel;
     memo =
       (if memo then Some (Rewrite.Memo.create ?capacity:memo_capacity ())
@@ -20,7 +20,8 @@ let create ?(fuel = Rewrite.default_fuel) ?(memo = false) ?memo_capacity spec =
 
 (* Shares the compiled rewrite system (immutable after of_spec) but owns a
    fresh memo of the same capacity: each domain forks its own interpreter so
-   memo lookups never cross a domain boundary. *)
+   memo lookups never cross a domain boundary. This is the only way two
+   interpreters share a compiled system. *)
 let fork t =
   {
     t with

@@ -29,7 +29,11 @@ val fork : t -> t
     memo state — the only mutable part — stays domain-local. *)
 
 val spec : t -> Spec.t
+
 val system : t -> Rewrite.system
+(** The compiled rewrite system. No library code reads it; it stays
+    exported so the tests can check that {!fork} shares the system
+    (physically) instead of compiling a second one. *)
 
 val fuel : t -> int
 (** The session's default step budget. *)

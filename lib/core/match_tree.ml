@@ -136,9 +136,9 @@ let compile rows =
   List.iter
     (fun (_, lhs, _) ->
       match Term.view lhs with
-      | Term.Var _ ->
-        invalid_arg "Match_tree.compile: left-hand side is a bare variable"
-      | _ -> ())
+      | Term.App _ -> ()
+      | Term.Var _ | Term.Err _ | Term.Ite _ ->
+        invalid_arg "Match_tree.compile: left-hand side is not an application")
     rows;
   let max_regs = ref 1 in
   let note n = if n > !max_regs then max_regs := n in
@@ -291,17 +291,14 @@ let rec exec_tree regs = function
       in
       find cases)
 
-let exec t subject =
-  let regs = Array.make t.nregs subject in
-  match exec_tree regs t.tree with None -> None | Some l -> Some (l, regs)
-
 (* match the application [op args] without interning it. The root of a
    compiled tree always switches on register 0 (left-hand sides are
    applications, never bare variables, so every row's first obligation
-   sits there), and register 0 is never read back below the root —
-   patterns bind and check only proper subterms. The register file can
-   therefore be seeded with a placeholder and the root switch driven by
-   the uninterned pair directly. *)
+   sits there) and its default is [Fail] (no row is generic there), and
+   register 0 is never read back below the root — patterns bind and
+   check only proper subterms. The register file can therefore be seeded
+   with a placeholder and the root switch driven by the uninterned pair
+   directly. *)
 let exec_app t op args =
   match t.tree with
   | Switch { reg = 0; cases; default = _ } ->
@@ -322,29 +319,27 @@ let exec_app t op args =
     find cases
   | _ -> None
 
-let run t subject =
-  match exec t subject with
-  | None -> None
-  | Some (l, regs) -> Some (l.payload, instantiate regs l.builder)
-
-let run_with t subject =
-  match exec t subject with
-  | None -> None
-  | Some (l, regs) ->
-    Some
-      ( l.payload,
-        List.map (fun (x, r) -> (x, regs.(r))) l.binds,
-        instantiate regs l.builder )
-
-let run_template t subject =
-  match exec t subject with
-  | None -> None
-  | Some (l, regs) -> Some (l.payload, regs, l.builder)
-
 let run_template_app t op args =
   match exec_app t op args with
   | None -> None
   | Some (l, regs) -> Some (l.payload, regs, l.builder)
+
+(* the test-facing entry: an interned subject, matched through the same
+   automaton entry the rewriter uses *)
+let run_with t subject =
+  match Term.view subject with
+  | Term.App (op, args) -> (
+    match exec_app t op args with
+    | None -> None
+    | Some (l, regs) ->
+      Some
+        ( l.payload,
+          List.map (fun (x, r) -> (x, regs.(r))) l.binds,
+          instantiate regs l.builder ))
+  | Term.Var _ | Term.Err _ | Term.Ite _ -> None
+
+let run t subject =
+  Option.map (fun (payload, _, reduct) -> (payload, reduct)) (run_with t subject)
 
 type stats = {
   switches : int;

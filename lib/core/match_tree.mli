@@ -72,46 +72,43 @@ type builder =
 
 val compile : ('a * Term.t * Term.t) list -> 'a t
 (** [compile rows] compiles [(payload, lhs, rhs)] rows, earlier rows
-    taking priority. Left-hand sides must not be bare variables (the
-    rewriter dispatches on application heads); rules for {e different}
-    head operations may share one automaton — the root switch
-    discriminates them, comparing operations with {!Op.equal}, so two
-    operations that share a name but not a rank never cross-match. *)
+    taking priority. Left-hand sides must be applications (raises
+    [Invalid_argument] otherwise), so the root switch has no generic row
+    and its default fails; rules for {e different} head operations may
+    share one automaton — the root switch discriminates them, comparing
+    operations with {!Op.equal}, so two operations that share a name but
+    not a rank never cross-match. *)
+
+val run_template_app :
+  'a t -> Op.t -> Term.t list -> ('a * Term.t array * builder) option
+(** [run_template_app t op args] is [Some (payload, regs, builder)] for
+    the first row (in priority order) whose left-hand side matches the
+    application [op(args)], where [regs] is the filled register file and
+    [builder] the row's template, so the caller can interleave
+    instantiation with further rewriting; [None] when no row matches.
+    The application is never constructed (interned): a fused engine
+    matches candidate redexes it has just assembled, and when a rule
+    fires the assembled node is discarded immediately. Patterns bind and
+    check only proper subterms, so the match never needs the node
+    itself. This is the one entry into the automaton; {!run} and
+    {!run_with} are built on it. *)
+
+val instantiate : Term.t array -> builder -> Term.t
+(** Instantiate a template against a register file from
+    {!run_template_app}: exactly the term [Subst.apply s rhs] would
+    intern under the matching substitution [s]. *)
 
 val run : 'a t -> Term.t -> ('a * Term.t) option
-(** [run t subject] is [Some (payload, reduct)] for the first row (in
-    priority order) whose left-hand side matches [subject], where
-    [reduct] is the row's right-hand side instantiated under the
-    matching substitution — physically the same term
-    [Subst.apply s rhs] would intern. [None] when no row matches. *)
+(** [run t subject] is [Some (payload, reduct)] for the first row whose
+    left-hand side matches [subject], with [reduct] the row's
+    instantiated right-hand side; [None] when no row matches (always for
+    a subject that is not an application). For the tests. *)
 
 val run_with :
   'a t -> Term.t -> ('a * (string * Term.t) list * Term.t) option
 (** {!run}, also returning the matching substitution as an association
     list over the pattern's variables (one entry per variable, in the
-    order the automaton resolves them). For the differential tests; the
-    rewriting hot path uses {!run}, which never materializes bindings. *)
-
-val run_template : 'a t -> Term.t -> ('a * Term.t array * builder) option
-(** Like {!run}, but instead of instantiating the reduct it returns the
-    filled register file and the matched rule's template, so the caller
-    can interleave instantiation with further rewriting.
-    [instantiate regs builder] recovers exactly what {!run} would have
-    returned. The array is the automaton's working register file —
-    read-only for the caller, and invalidated by the next match. *)
-
-val run_template_app :
-  'a t -> Op.t -> Term.t list -> ('a * Term.t array * builder) option
-(** [run_template_app t op args] is [run_template t (App (op, args))]
-    without constructing (interning) the application. A fused engine
-    uses this on candidate redexes it has just assembled: when a rule
-    fires, the assembled node is discarded immediately, so interning it
-    first would be pure waste. Patterns bind and check only proper
-    subterms, so the match never needs the application node itself. *)
-
-val instantiate : Term.t array -> builder -> Term.t
-(** Instantiate a template against a register file from
-    {!run_template}. *)
+    order the automaton resolves them). For the differential tests. *)
 
 type stats = {
   switches : int;  (** Interior (switch) nodes in the tree. *)
@@ -119,7 +116,7 @@ type stats = {
   guarded : int;
       (** Leaves carrying deferred non-left-linear equality checks. *)
   max_registers : int;
-      (** Size of the register file a {!run} allocates. *)
+      (** Size of the register file a match allocates. *)
 }
 
 val stats : 'a t -> stats

@@ -71,12 +71,10 @@ let to_term spec model result = to_term_sys (Rewrite.of_spec spec) model result
    evaluates observation contexts [C[#]] by binding the hole variable [#]
    to an already-computed representation value. *)
 
-type 'r ctx = { ctx_spec : Spec.t; ctx_sys : Rewrite.system; ctx_model : 'r t }
+type 'r ctx = { ctx_sys : Rewrite.system; ctx_model : 'r t }
 
-let ctx spec model =
-  { ctx_spec = spec; ctx_sys = Rewrite.of_spec spec; ctx_model = model }
+let ctx spec model = { ctx_sys = Rewrite.of_spec spec; ctx_model = model }
 
-let ctx_spec c = c.ctx_spec
 let ctx_eval ?env c term = eval_sys ?env c.ctx_sys c.ctx_model term
 let ctx_denote c result = to_term_sys c.ctx_sys c.ctx_model result
 

@@ -50,7 +50,6 @@ val eval : Spec.t -> 'r t -> Term.t -> ('r value, Sort.t) result
 type 'r ctx
 
 val ctx : Spec.t -> 'r t -> 'r ctx
-val ctx_spec : 'r ctx -> Spec.t
 
 val ctx_eval :
   ?env:(string -> 'r value option) ->

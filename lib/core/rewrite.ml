@@ -23,8 +23,6 @@ let rule ?(name = "") ~lhs ~rhs () =
 let rule_of_axiom ax =
   { rule_name = Axiom.name ax; lhs = Axiom.lhs ax; rhs = Axiom.rhs ax }
 
-let axiom_of_rule r = Axiom.v ~name:r.rule_name ~lhs:r.lhs ~rhs:r.rhs ()
-
 let pp_rule ppf r =
   if String.equal r.rule_name "" then
     Fmt.pf ppf "@[<hov 2>%a ->@ %a@]" Term.pp r.lhs Term.pp r.rhs
@@ -102,26 +100,15 @@ let is_builtin name = String.equal name "<if>" || String.equal name "<error>"
 
 (* {2 The matcher}
 
-   [find_automaton] answers the first matching rule (priority order) and
-   the instantiated right-hand side; [template_of] answers the rule, its
-   registers, and the right-hand-side template uninstantiated, for the
-   fused innermost loop below. *)
+   [match_app] answers the first matching rule (priority order) for the
+   application [op args], with the automaton's registers and the rule's
+   right-hand-side template uninstantiated: the one entry into the
+   automaton, for the fused innermost loop and for [step] alike. *)
 
-let find_automaton sys t =
-  match Term.view t with
-  | Term.App (op, _) -> (
-    match Hashtbl.find_opt sys.trees (Op.name op) with
-    | None -> None
-    | Some tree -> Match_tree.run tree t)
-  | _ -> None
-
-let template_of sys t =
-  match Term.view t with
-  | Term.App (op, _) -> (
-    match Hashtbl.find_opt sys.trees (Op.name op) with
-    | None -> None
-    | Some tree -> Match_tree.run_template tree t)
-  | _ -> None
+let match_app sys op args =
+  match Hashtbl.find_opt sys.trees (Op.name op) with
+  | None -> None
+  | Some tree -> Match_tree.run_template_app tree op args
 
 exception Fuel_exhausted
 
@@ -257,29 +244,26 @@ let innermost ?memo ?(fuel = default_fuel) ?(poll = no_poll) ?on_rule sys
         match found with
         | None -> norm_app t op args
         | Some tree -> (
-          match Match_tree.run_template tree t with
+          match Match_tree.run_template_app tree op args with
           | None -> t
           | Some (r, regs, builder) -> apply r regs builder)
       in
       Term_lru.add m.Memo.cache t nf;
       nf
+  (* match the node rebuilt from its normalized arguments and, on success,
+     normalize the template rather than the instantiated reduct. A fired
+     redex node is discarded immediately, so it is never interned; when no
+     rule matches, [t] itself is the normal form if its arguments were
+     already normal, and only a node with changed arguments is interned *)
   and norm_app t op args =
     let args' = List.map norm args in
     if List.exists Term.is_error args' then Term.err (Op.result op)
-    else if List.for_all2 ( == ) args args' then
-      (* [t] has normalized arguments: match at the root and, on success,
-         normalize the template rather than the instantiated reduct *)
-      match template_of sys t with
-      | None -> t
+    else
+      match match_app sys op args' with
       | Some (r, regs, builder) -> apply r regs builder
-    else fire_app op args'
-  (* the same, for an application not interned yet: a fired redex node is
-     discarded immediately, so it is only interned when no rule matches
-     and the node is the (normal-form) result *)
-  and fire_app op args' =
-    match Hashtbl.find_opt sys.trees (Op.name op) with
-    | None -> Term.app_unchecked op args'
-    | Some tree -> fire_tree tree op args'
+      | None ->
+        if List.for_all2 ( == ) args args' then t
+        else Term.app_unchecked op args'
   and fire_tree tree op args' =
     match Match_tree.run_template_app tree op args' with
     | None -> Term.app_unchecked op args'
@@ -547,8 +531,9 @@ let step sys term =
         if List.exists Term.is_error args then
           Some (pos, Term.err (Op.result op), "<error>")
         else (
-          match find_automaton sys t with
-          | Some (r, reduct) -> Some (pos, reduct, r.rule_name)
+          match match_app sys op args with
+          | Some (r, regs, builder) ->
+            Some (pos, Match_tree.instantiate regs builder, r.rule_name)
           | None -> None))
   in
   match locate [] term with
@@ -581,58 +566,3 @@ let trace ?(fuel = default_fuel) ?(max_events = 1_000) ?on_rule sys term =
   in
   let result = go term in
   (result, List.rev !events)
-
-(* {1 The compiled-system cache}
-
-   Compiling a spec's matching automaton is pure — the system depends
-   only on the executable axioms in order — so systems are interned by
-   the caller's content key (Spec_digest.spec in practice): a reload of
-   an unchanged spec is one table probe. Sharing a compiled system
-   across interpreters (and domains) is already the forked-interpreter
-   contract: the system is immutable after construction. A full cache
-   simply resets — compilation is cheap enough that eviction bookkeeping
-   would cost more than the occasional cold refill. *)
-
-let compile_cache : (string, system) Hashtbl.t = Hashtbl.create 32
-let compile_cache_lock = Mutex.create ()
-let compile_cache_capacity = 512
-let compile_cache_hits = ref 0
-let compile_cache_misses = ref 0
-
-let of_spec_keyed ~key spec =
-  let cached =
-    Mutex.protect compile_cache_lock (fun () ->
-        match Hashtbl.find_opt compile_cache key with
-        | Some sys ->
-          incr compile_cache_hits;
-          Some sys
-        | None ->
-          incr compile_cache_misses;
-          None)
-  in
-  match cached with
-  | Some sys -> sys
-  | None ->
-    let sys = of_spec spec in
-    Mutex.protect compile_cache_lock (fun () ->
-        if Hashtbl.length compile_cache >= compile_cache_capacity then
-          Hashtbl.reset compile_cache;
-        if not (Hashtbl.mem compile_cache key) then
-          Hashtbl.add compile_cache key sys);
-    sys
-
-type compile_cache_stats = { hits : int; misses : int; entries : int }
-
-let compile_cache_stats () =
-  Mutex.protect compile_cache_lock (fun () ->
-      {
-        hits = !compile_cache_hits;
-        misses = !compile_cache_misses;
-        entries = Hashtbl.length compile_cache;
-      })
-
-let compile_cache_clear () =
-  Mutex.protect compile_cache_lock (fun () ->
-      Hashtbl.reset compile_cache;
-      compile_cache_hits := 0;
-      compile_cache_misses := 0)

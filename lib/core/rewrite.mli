@@ -31,7 +31,6 @@ val rule : ?name:string -> lhs:Term.t -> rhs:Term.t -> unit -> rule
     any non-variable term. *)
 
 val rule_of_axiom : Axiom.t -> rule
-val axiom_of_rule : rule -> Axiom.t
 val pp_rule : rule Fmt.t
 
 type system
@@ -40,22 +39,11 @@ val of_spec : Spec.t -> system
 (** Rules are the specification's {e executable} axioms in order; an axiom
     with free right-hand-side variables ({!Axiom.is_executable} false) is
     skipped — it is an equation the static analyzer reports (ADT011), not a
-    rule the rewriter may fire. *)
-
-val of_spec_keyed : key:string -> Spec.t -> system
-(** {!of_spec} through a process-wide compiled-system cache: [key] must
-    identify the specification's executable-axiom list and priority
-    order — {!Spec_digest.spec} is (more than) fine — and equal keys
-    return the {e same} compiled system.
-    Sound to share across threads and domains: a system is immutable
-    after construction (the forked-interpreter contract, {!Interp.fork}).
-    This is what makes reloading an unchanged specification one table
-    probe instead of a from-scratch compilation. *)
-
-type compile_cache_stats = { hits : int; misses : int; entries : int }
-
-val compile_cache_stats : unit -> compile_cache_stats
-val compile_cache_clear : unit -> unit
+    rule the rewriter may fire. Every call compiles a fresh system; there
+    is no cache keyed by specification, because compiling costs less than
+    digesting the specification for a key. A system is immutable once
+    built, so callers that need one shared (the per-domain interpreters,
+    {!Interp.fork}) pass it along. *)
 
 val of_rules : rule list -> system
 

@@ -120,12 +120,6 @@ let union ?name:uname a b =
     axioms;
   }
 
-let union_all ~name = function
-  | [] -> invalid_arg "Spec.union_all: empty list"
-  | first :: rest ->
-    let merged = List.fold_left (fun acc s -> union acc s) first rest in
-    { merged with name }
-
 let with_axioms extra t =
   validate_axioms t.signature (t.axioms @ extra);
   { t with axioms = t.axioms @ extra }
@@ -135,14 +129,6 @@ let without_axiom axname t =
     t with
     axioms = List.filter (fun ax -> not (String.equal (Axiom.name ax) axname)) t.axioms;
   }
-
-let add_constructors names t =
-  let constructors =
-    List.fold_left
-      (fun acc cname -> Op.Set.add (resolve_constructor t.signature cname) acc)
-      t.constructors names
-  in
-  { t with constructors }
 
 let rec is_constructor_term t term =
   match Term.view term with

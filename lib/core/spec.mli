@@ -65,8 +65,6 @@ val union : ?name:string -> t -> t -> t
     [Invalid_argument] on operation clashes (from [Signature.union]) or on
     clashing axiom names with different equations. *)
 
-val union_all : name:string -> t list -> t
-
 val with_axioms : Axiom.t list -> t -> t
 (** Adds axioms (validated). *)
 
@@ -74,8 +72,6 @@ val without_axiom : string -> t -> t
 (** Removes the named axiom; useful to seed incompleteness for testing the
     checker (paper section 3: boundary conditions "are particularly likely
     to be overlooked"). *)
-
-val add_constructors : string list -> t -> t
 
 val is_constructor_term : t -> Term.t -> bool
 (** The term is built from constructors and variables only. *)

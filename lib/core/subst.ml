@@ -3,7 +3,6 @@ module String_map = Map.Make (String)
 type t = Term.t String_map.t
 
 let empty = String_map.empty
-let is_empty = String_map.is_empty
 let singleton x t = String_map.singleton x t
 
 let bind x t s =

@@ -8,7 +8,6 @@
 type t
 
 val empty : t
-val is_empty : t -> bool
 val singleton : string -> Term.t -> t
 
 val bind : string -> Term.t -> t -> t option

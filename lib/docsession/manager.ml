@@ -112,7 +112,7 @@ let open_doc t ~name ~source =
   | Error e -> Error e
   | Ok spec ->
     let digest = Spec_digest.spec spec in
-    let sys = Rewrite.of_spec_keyed ~key:digest spec in
+    let sys = Rewrite.of_spec spec in
     let findings_of = static_findings spec in
     let obligations =
       List.map (check_obligation ~fuel:t.fuel sys findings_of) (Spec.axioms spec)
@@ -167,7 +167,8 @@ let edit t ~name ~source =
           if not (Hashtbl.mem previous o.axiom_digest) then
             Hashtbl.add previous o.axiom_digest o)
         prev.obligations;
-      let sys = Rewrite.of_spec_keyed ~key:digest spec in
+      (* compiled only if some obligation is re-run: a relabel reuses all *)
+      let sys = lazy (Rewrite.of_spec spec) in
       let findings_of = static_findings spec in
       let obligations =
         List.map
@@ -188,7 +189,7 @@ let edit t ~name ~source =
                 findings = findings_of ax;
                 reused = true;
               }
-            else check_obligation ~fuel:t.fuel sys findings_of ax)
+            else check_obligation ~fuel:t.fuel (Lazy.force sys) findings_of ax)
           (Spec.axioms spec)
       in
       let total = List.length obligations in

@@ -21,8 +21,9 @@
     attributed to obligations by locus.
 
     Thread-safe: one lock around the document table; obligations run
-    outside any per-document interpreter state (the compiled system is
-    immutable and shared via {!Adt.Rewrite.of_spec_keyed}). *)
+    outside any per-document interpreter state (a version that re-runs an
+    obligation compiles its own rewrite system with
+    {!Adt.Rewrite.of_spec}, immutable once built). *)
 
 type status = [ `Ok | `Diverged | `Unjoinable ]
 

@@ -144,7 +144,10 @@ let do_testgen ctx session ~spec ~impl ~count ~seed =
     let seed = Option.value ~default:414243 seed in
     (* the suite is deterministic in (impl, count, seed), so the verdict
        persists under that key — but only when the spec is also loaded in
-       the session, whose digest names the store entry *)
+       the session, whose digest names the store entry. Both are looked up
+       under the implementation's canonical spec name, not the request's
+       spelling, which the registry matches case-insensitively *)
+    let spec = Testgen.Impl.spec_name impl in
     find_or_compute ctx session (Session.find session spec) ~kind:"testgen"
       ~key:(Fmt.str "%s|%s|%d|%d" spec (Testgen.Impl.name impl) count seed)
     @@ fun () ->

@@ -15,7 +15,7 @@ let serve ?(echo = false) session ic oc =
     match input_line ic with
     | exception End_of_file -> ()
     | line -> (
-      if echo then say ("> " ^ line);
+      if echo then say ("> " ^ Protocol.sanitize line);
       match Dispatch.handle_line ~read_line session line with
       | Dispatch.Silent -> loop ()
       | Dispatch.Reply response ->

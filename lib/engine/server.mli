@@ -20,8 +20,10 @@
     mid-response drops that client only, never the engine. *)
 
 val serve : ?echo:bool -> Session.t -> in_channel -> out_channel -> unit
-(** Loops until end of input or a [quit] request. [echo] (default false)
-    copies every input line to the output prefixed with [> ]. *)
+(** Loops until end of input or a [quit] request, then flushes the
+    session's store. [echo] (default false) copies every input line to
+    the output prefixed with [> ], {!Protocol.sanitize}d like the replies
+    below it. *)
 
 val default_max_clients : int
 (** 64. *)

@@ -10,8 +10,6 @@ let attrs i =
     invalid_arg (Fmt.str "Attributes.attrs: %d out of range 1..%d" i count)
   else Term.const (attr_op i)
 
-let all = List.init count (fun i -> attrs (i + 1))
-
 let mk_op =
   Op.v "MK_ATTRS" ~args:[ Builtins.nat_sort; Builtins.nat_sort ] ~result:sort
 

@@ -17,9 +17,6 @@ val attrs : int -> Term.t
 (** [attrs i] for [i] in 1..{!count} — the opaque atoms. *)
 
 val count : int
-val all : Term.t list
-(** The atoms. *)
-
 val mk : ty:int -> slot:int -> Term.t
 (** [MK_ATTRS(ty, slot)] with both numbers as [Nat] numerals. *)
 

@@ -89,8 +89,6 @@ let item i =
     invalid_arg (Fmt.str "Builtins.item: %d out of range 1..%d" i item_count)
   else Term.const (item_op i)
 
-let items = List.init item_count (fun i -> item (i + 1))
-
 let item_spec =
   let signature =
     List.fold_left

@@ -9,14 +9,11 @@
 
 open Adt
 
-val bool_sort : Sort.t
-
 val bool_spec : Spec.t
 (** [NOT], [AND], [OR] over the builtin constants. *)
 
 val not_ : Term.t -> Term.t
 val and_ : Term.t -> Term.t -> Term.t
-val or_ : Term.t -> Term.t -> Term.t
 
 val nat_sort : Sort.t
 
@@ -42,5 +39,3 @@ val item_spec : Spec.t
 
 val item : int -> Term.t
 (** [item i] for [i] in 1..4. Raises [Invalid_argument] otherwise. *)
-
-val items : Term.t list

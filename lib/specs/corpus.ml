@@ -1,5 +1,3 @@
-open Adt
-
 let all =
   [
     Builtins.bool_spec;
@@ -16,5 +14,3 @@ let all =
     Bounded_queue_spec.spec;
     Pairlist_spec.spec;
   ]
-
-let library = Library.add_all all Library.empty

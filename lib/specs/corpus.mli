@@ -11,6 +11,3 @@ open Adt
 
 val all : Spec.t list
 (** In dependency order: auxiliaries first. *)
-
-val library : Library.t
-(** {!all} registered under their own names. *)

@@ -65,6 +65,3 @@ let atom_terms s =
       then Some (Term.const op)
       else None)
     (Signature.ops (Spec.signature s))
-
-let same s a b = Term.app (Spec.op_exn s "SAME?") [ a; b ]
-let hash s a = Term.app (Spec.op_exn s "HASH") [ a ]

@@ -33,8 +33,3 @@ val id : string -> Term.t
 
 val atom_terms : Spec.t -> Term.t list
 (** All identifier atoms of a specification built by this module. *)
-
-val same : Spec.t -> Term.t -> Term.t -> Term.t
-(** The [SAME?] application, resolved in the given specification. *)
-
-val hash : Spec.t -> Term.t -> Term.t

@@ -306,6 +306,28 @@ let test_echoed_bytes_stay_one_line () =
         "error unknown-spec no open document named a b (session-open it first)" );
     ]
 
+(* the batch transcript echoes each request through the reply sanitizer,
+   so a CR inside a request word reaches neither the echo nor the reply *)
+let test_batch_echo_sanitized () =
+  let session = queue_session () in
+  let input = Filename.temp_file "adtc-echo" ".requests"
+  and output = Filename.temp_file "adtc-echo" ".out" in
+  Fun.protect ~finally:(fun () -> Sys.remove input; Sys.remove output)
+  @@ fun () ->
+  Out_channel.with_open_bin input (fun oc ->
+      output_string oc "frob\rnicate Queue\ncheck Qu\reue\nsession-status a\rb\n");
+  In_channel.with_open_bin input (fun ic ->
+      Out_channel.with_open_bin output (fun oc ->
+          Server.serve ~echo:true session ic oc));
+  let transcript = In_channel.with_open_bin output In_channel.input_all in
+  Alcotest.(check bool) "no CR byte" false (String.contains transcript '\r');
+  Alcotest.(check (list string))
+    "sanitized echoes"
+    [ "> frob nicate Queue"; "> check Qu eue"; "> session-status a b" ]
+    (List.filter
+       (fun l -> String.starts_with ~prefix:"> " l)
+       (String.split_on_char '\n' transcript))
+
 let test_fuel_limit () =
   let session = queue_session () in
   let r = reply session
@@ -501,6 +523,7 @@ let suite =
     Helpers.case "errors never kill the session" test_error_isolation;
     Helpers.case "echoed request bytes stay on one reply line"
       test_echoed_bytes_stay_one_line;
+    Helpers.case "the batch echo is sanitized" test_batch_echo_sanitized;
     Helpers.case "per-request fuel limits" test_fuel_limit;
     Helpers.case "session fuel is a ceiling" test_session_fuel_ceiling;
     Helpers.case "stats reports every counter" test_stats_counters;

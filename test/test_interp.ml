@@ -104,6 +104,30 @@ let test_trace_length_matches_steps () =
   let nf, _events = Interp.trace interp t in
   check_term "trace result" (item 1) nf
 
+(* a fork shares the compiled system itself (no second compilation) and
+   owns a fresh, empty memo of the parent's capacity *)
+let test_fork_shares_system () =
+  let parent = Interp.create ~memo:true ~memo_capacity:64 Queue_spec.spec in
+  let t = Queue_spec.front (Queue_spec.of_items [ item 1; item 2 ]) in
+  ignore (Interp.eval parent t);
+  let child = Interp.fork parent in
+  Alcotest.(check bool)
+    "same compiled system" true
+    (Interp.system child == Interp.system parent);
+  (match Interp.memo_stats child with
+  | None -> Alcotest.fail "the fork lost its memo"
+  | Some m ->
+    Alcotest.(check int) "same capacity" 64 m.Interp.capacity;
+    Alcotest.(check int) "empty" 0 m.Interp.entries;
+    Alcotest.(check int) "no hits" 0 m.Interp.hits;
+    Alcotest.(check int) "no misses" 0 m.Interp.misses);
+  (match Interp.memo_stats parent with
+  | Some m -> Alcotest.(check bool) "parent memo kept" true (m.Interp.entries > 0)
+  | None -> Alcotest.fail "parent memo missing");
+  Alcotest.(check bool)
+    "no memo forks to no memo" true
+    (Interp.memo_stats (Interp.fork interp) = None)
+
 let suite =
   [
     case "values evaluate to constructor normal forms" test_eval_values;
@@ -117,4 +141,5 @@ let suite =
     case "cost grows with input size" test_steps_grow_with_input;
     case "fuel exhaustion reported as divergence" test_diverged;
     case "tracing reaches the same result" test_trace_length_matches_steps;
+    case "fork shares the system, owns a fresh memo" test_fork_shares_system;
   ]

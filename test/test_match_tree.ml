@@ -194,28 +194,6 @@ let trace_agrees (sys, t) =
   | Some (nf0, n0), Some (nf, n) -> Term.equal nf0 nf && n0 = n
   | _ -> false
 
-(* {1 The compile cache} *)
-
-(* one key, one compiled system: a repeated key hits and returns the very
-   same system; a different key misses and compiles afresh *)
-let test_compile_cache () =
-  Rewrite.compile_cache_clear ();
-  let key = "test-match-tree/compile-cache" in
-  let sys = Rewrite.of_spec_keyed ~key nat_spec in
-  let stats = Rewrite.compile_cache_stats () in
-  Alcotest.(check int) "first request misses" 1 stats.Rewrite.misses;
-  Alcotest.(check int) "no hit yet" 0 stats.Rewrite.hits;
-  let sys' = Rewrite.of_spec_keyed ~key nat_spec in
-  let stats = Rewrite.compile_cache_stats () in
-  Alcotest.(check int) "re-request hits" 1 stats.Rewrite.hits;
-  Alcotest.(check bool) "same compiled system" true (sys' == sys);
-  let other = Rewrite.of_spec_keyed ~key:(key ^ "/other") nat_spec in
-  let stats = Rewrite.compile_cache_stats () in
-  Alcotest.(check int) "a different key misses" 2 stats.Rewrite.misses;
-  Alcotest.(check int) "still one hit" 1 stats.Rewrite.hits;
-  Alcotest.(check int) "two entries" 2 stats.Rewrite.entries;
-  Alcotest.(check bool) "a fresh system" false (other == sys)
-
 let suite =
   [
     case "prefix sharing across rules" test_prefix_sharing;
@@ -224,7 +202,6 @@ let suite =
     case "non-left-linear deferred equality" test_non_left_linear;
     case "rhs template instantiation" test_rhs_template;
     case "run_with reports the substitution" test_run_with_bindings;
-    case "compile cache: same key hits, other key misses" test_compile_cache;
     qcheck ~count:300 "automaton match = linear scan (corpus)" pair_gen
       match_agrees;
     qcheck ~count:300 "trace = reference normal form and steps (corpus)"

@@ -886,6 +886,33 @@ let test_framed_payloads_persist () =
        ~key:"Queue|mutant-lifo-front|40|414243");
   Persist.Store.close store2
 
+(* testgen resolves SPEC case-insensitively and stores its verdict under
+   the implementation's canonical spec name: a lower-case request is
+   computed once, every later spelling hits that record, and the record's
+   key is the one an exact-case request writes *)
+let test_testgen_canonical_key () =
+  with_store @@ fun store ->
+  let spec = Adt_specs.Queue_spec.spec in
+  let session = Session.create ~store [ spec ] in
+  let lower = "testgen count=5 queue" and exact = "testgen count=5 Queue" in
+  let first = reply session lower in
+  List.iter
+    (fun line -> Alcotest.(check string) line first (reply session line))
+    [ lower; exact; exact ];
+  let t = totals session in
+  Alcotest.(check int) "persist.hits" 3 t.Session.hits;
+  Alcotest.(check int) "persist.misses" 1 t.Session.misses;
+  Session.persist_flush session;
+  Alcotest.(check (list string))
+    "the record's key"
+    [ "Queue|two-list|5|414243" ]
+    (List.filter_map
+       (fun r ->
+         if String.equal r.Persist.Store.kind "testgen" then
+           Some r.Persist.Store.key
+         else None)
+       (Persist.Store.load store ~digest:(Spec_digest.spec spec)))
+
 (* client-chosen meta keys are bounded by the cache capacity: a payload
    pushed out by a newer one is recomputed, never served stale *)
 let test_meta_bounded () =
@@ -1026,4 +1053,6 @@ let suite =
       test_memoized_repeat_files_nothing;
     Alcotest.test_case "stored payloads are bounded by the cache capacity"
       `Quick test_meta_bounded;
+    Alcotest.test_case "testgen verdicts are stored under the canonical name"
+      `Quick test_testgen_canonical_key;
   ]
