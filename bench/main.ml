@@ -341,7 +341,7 @@ let e5 () =
   Fmt.pr "@.=== E5: consistency checking and Knuth-Bendix completion ===@.";
   let report = Consistency.check Queue_spec.spec in
   Fmt.pr "Queue: %d critical pair(s); locally confluent: %b; consistent: %b@."
-    (List.length report.Consistency.pairs)
+    (List.length report)
     (Consistency.locally_confluent report)
     (Consistency.is_consistent Queue_spec.spec report);
   let q = Term.var "q" Queue_spec.sort
@@ -510,11 +510,12 @@ let e9 () =
 let e11 () =
   Fmt.pr "@.=== E11: tracing overhead on the normalize hot path ===@.";
   Fmt.pr
-    "(tracing=off is the default dispatcher path — the [?on_rule] hook is \
-     [None], so the@.";
+    "(tracing=off is the default dispatcher path — the request's one \
+     [?on_rule] hook still@.";
   Fmt.pr
-    " per-step cost is one option test; tracing=on builds a span tree and \
-     counts per rule;@.";
+    " charges fuel and checks the deadline, and its trace step is a no-op; \
+     tracing=on builds@.";
+  Fmt.pr " a span tree and counts per rule;@.";
   Fmt.pr " +slowlog also records every request into the ring log)@.";
   let plain = Engine.Session.create [ Queue_spec.spec ] in
   let traced = Engine.Session.create ~tracing:true [ Queue_spec.spec ] in

@@ -22,12 +22,12 @@ let analyze ?fuel spec =
   let diverging =
     List.exists
       (fun (_, v) -> match v with Consistency.Diverges _ -> true | _ -> false)
-      report.Consistency.pairs
+      report
   in
   let timed_out =
     List.exists
       (fun (_, v) -> match v with Consistency.Timeout -> true | _ -> false)
-      report.Consistency.pairs
+      report
   in
   let left_linear =
     List.for_all Axiom.is_left_linear
@@ -37,7 +37,7 @@ let analyze ?fuel spec =
     if diverging then Not_locally_confluent
     else if timed_out then Undecided
     else if Ordering.oriented search then Confluent_newman
-    else if left_linear && report.Consistency.pairs = [] then
+    else if left_linear && report = [] then
       Confluent_orthogonal
     else Locally_confluent_only
   in
@@ -90,7 +90,7 @@ let op_of_peak t =
 
 let adt022 a =
   let spec_name = Spec.name a.a_spec in
-  let pairs = a.report.Consistency.pairs in
+  let pairs = a.report in
   let divergent =
     List.filter_map
       (fun ((cp : Consistency.cp), v) ->
@@ -187,7 +187,7 @@ let adt002 a =
              cp.Consistency.rule1 cp.Consistency.rule2
              (Term.to_string cp.Consistency.peak))
           "re-run with a larger fuel budget")
-    a.report.Consistency.pairs
+    a.report
 
 (* {1 The check summary} *)
 
@@ -208,7 +208,7 @@ let summarize ?fuel spec =
     s_consistent = Consistency.is_consistent spec a.report;
   }
 
-let critical_pairs s = List.length s.s_analysis.report.Consistency.pairs
+let critical_pairs s = List.length s.s_analysis.report
 
 (* [Confluent_newman] is the one status reached with a termination
    certificate *)

@@ -317,10 +317,6 @@ module Make (Symtab : Symtab_intf.SYMTAB) = struct
   let check p =
     let env, rp = run p in
     match env.diags with [] -> Ok rp | diags -> Error (List.rev diags)
-
-  let diagnostics p =
-    let env, _ = run p in
-    List.rev env.diags
 end
 
 module Direct = Make (Symtab_direct)

@@ -64,9 +64,6 @@ module Make (Symtab : Symtab_intf.SYMTAB) : sig
   val check : Ast.program -> (rprogram, diagnostic list) result
   (** [Error] lists every diagnostic found (the checker recovers and keeps
       going after each error). *)
-
-  val diagnostics : Ast.program -> diagnostic list
-  (** [[]] iff [check] succeeds. *)
 end
 
 module Direct : module type of Make (Symtab_direct)

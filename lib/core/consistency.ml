@@ -9,7 +9,7 @@ type cp = {
 
 type verdict = Joinable of Term.t | Diverges of Term.t * Term.t | Timeout
 
-type report = { pairs : (cp * verdict) list }
+type report = (cp * verdict) list
 
 let label i (r : Rewrite.rule) =
   if String.equal r.Rewrite.rule_name "" then Fmt.str "#%d" i
@@ -108,14 +108,11 @@ let decide ?fuel sys cp =
 
 let check ?fuel spec =
   let sys = Rewrite.of_spec spec in
-  let pairs =
-    List.map (fun cp -> (cp, decide ?fuel sys cp)) (critical_pairs (Rewrite.rules sys))
-  in
-  { pairs }
+  List.map (fun cp -> (cp, decide ?fuel sys cp)) (critical_pairs (Rewrite.rules sys))
 
 let locally_confluent report =
   List.for_all (fun (_, v) -> match v with Joinable _ -> true | _ -> false)
-    report.pairs
+    report
 
 (* Distinct ground constructor normal forms denote distinct values in the
    initial algebra, so such a divergence is a genuine contradiction; [error]
@@ -130,6 +127,6 @@ let inconsistencies spec report =
       match v with
       | Diverges (a, b) when value a && value b -> Some (cp, a, b)
       | _ -> None)
-    report.pairs
+    report
 
 let is_consistent spec report = inconsistencies spec report = []

@@ -34,7 +34,8 @@ type verdict =
   | Diverges of Term.t * Term.t  (** Distinct normal forms. *)
   | Timeout
 
-type report = { pairs : (cp * verdict) list }
+type report = (cp * verdict) list
+(** Every critical pair with its joinability verdict. *)
 
 val critical_pairs : Rewrite.rule list -> cp list
 (** All critical pairs between (renamed-apart) rules, including

@@ -48,13 +48,13 @@ let classify spec term =
     if Spec.is_constructor_ground_term spec term then Value term
     else Stuck term
 
-let eval_count ?fuel ?poll ?on_rule t term =
+let eval_count ?fuel ?on_rule t term =
   if not (Term.is_ground term) then
     invalid_arg
       (Fmt.str "Interp.eval: term %a has free variables" Term.pp term);
   let fuel = Option.value ~default:t.fuel fuel in
   match
-    Rewrite.normalize_count ?memo:t.memo ~fuel ?poll ?on_rule t.system term
+    Rewrite.normalize_count ?memo:t.memo ~fuel ?on_rule t.system term
   with
   | nf, steps -> (classify t.spec nf, steps)
   | exception Rewrite.Out_of_fuel _ -> (Diverged, fuel)
@@ -73,9 +73,9 @@ let apply t name args =
 
 let call t name args = eval t (apply t name args)
 
-let reduce ?fuel ?poll ?on_rule t term =
+let reduce ?fuel t term =
   let fuel = Option.value ~default:t.fuel fuel in
-  Rewrite.normalize ?memo:t.memo ~fuel ?poll ?on_rule t.system term
+  Rewrite.normalize ?memo:t.memo ~fuel t.system term
 
 type memo_stats = {
   hits : int;

@@ -70,7 +70,6 @@ val eval : ?fuel:int -> t -> Term.t -> value
 
 val eval_count :
   ?fuel:int ->
-  ?poll:(unit -> unit) ->
   ?on_rule:(string -> unit) ->
   t ->
   Term.t ->
@@ -78,10 +77,10 @@ val eval_count :
 (** {!eval}, also returning the number of rule applications performed; a
     [Diverged] result reports the whole budget as spent. Cache hits in a
     memoized session cost no steps — a fully cached term reports 0.
-    [poll] is the cooperative deadline hook of {!Rewrite}: called once
-    per rule application, and whatever it raises propagates out.
-    [on_rule] is the per-rule attribution hook ({!Rewrite}), fired at
-    the same site with the applied rule's name. *)
+    [on_rule] is the rule hook of {!Rewrite}: called with the applied
+    rule's name once per rule application, so it fires exactly as many
+    times as the step count returned (the whole budget on [Diverged]);
+    whatever it raises propagates out. *)
 
 val eval_bool : t -> Term.t -> bool option
 (** [Some b] when evaluation yields the Boolean constant [b]. *)
@@ -94,13 +93,7 @@ val apply : t -> string -> Term.t list -> Term.t
 val call : t -> string -> Term.t list -> value
 (** [apply] then [eval]. *)
 
-val reduce :
-  ?fuel:int ->
-  ?poll:(unit -> unit) ->
-  ?on_rule:(string -> unit) ->
-  t ->
-  Term.t ->
-  Term.t
+val reduce : ?fuel:int -> t -> Term.t -> Term.t
 (** Normalization without classification (also accepts open terms). *)
 
 val steps : t -> Term.t -> int

@@ -31,8 +31,8 @@ module Make (K : Hashtbl.HashedType) : sig
   (** A hit refreshes the binding's recency. *)
 
   val peek : 'a t -> K.t -> 'a option
-  (** Like {!find} but leaves recency untouched (for tests and
-      introspection). *)
+  (** Like {!find} but leaves recency untouched.
+      Exported for test_lru's model only; no library code calls it. *)
 
   val mem : 'a t -> K.t -> bool
   (** Recency-neutral, like {!peek}. *)
@@ -49,5 +49,6 @@ module Make (K : Hashtbl.HashedType) : sig
   (** Drops every binding and resets the eviction counter. *)
 
   val to_list : 'a t -> (K.t * 'a) list
-  (** Bindings from most to least recently used. *)
+  (** Bindings from most to least recently used.
+      Exported for test_lru's model only; no library code calls it. *)
 end

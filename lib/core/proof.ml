@@ -8,7 +8,6 @@ type config = {
   max_induction_depth : int;
   case_candidates : int;
   max_goals : int;
-  poll : (unit -> unit) option;
   on_rule : (string -> unit) option;
 }
 
@@ -16,7 +15,7 @@ let default_fuel = 50_000
 
 let config ?(extra_rules = []) ?(generators = []) ?(invariants = [])
     ?(fuel = default_fuel) ?(max_case_depth = 8) ?(max_induction_depth = 1)
-    ?(case_candidates = 4) ?(max_goals = 2_000) ?poll ?on_rule spec =
+    ?(case_candidates = 4) ?(max_goals = 2_000) ?on_rule spec =
   {
     spec;
     extra_rules;
@@ -27,7 +26,6 @@ let config ?(extra_rules = []) ?(generators = []) ?(invariants = [])
     max_induction_depth;
     case_candidates;
     max_goals;
-    poll;
     on_rule;
   }
 
@@ -184,7 +182,7 @@ let rec prove_goal cfg sys ~minted ~budget ~case_depth ~ind_depth (lhs, rhs) =
   if !budget <= 0 then raise Search_exhausted;
   decr budget;
   let normalize t =
-    match Rewrite.normalize_opt ~fuel:cfg.fuel ?poll:cfg.poll ?on_rule:cfg.on_rule sys t with
+    match Rewrite.normalize_opt ~fuel:cfg.fuel ?on_rule:cfg.on_rule sys t with
     | Some nf -> nf
     | None -> t
   in
@@ -346,8 +344,8 @@ let disprove cfg ~universe ~size (lhs, rhs) =
     (fun sub ->
       let l = Subst.apply sub lhs and r = Subst.apply sub rhs in
       match
-        ( Rewrite.normalize_opt ~fuel:cfg.fuel ?poll:cfg.poll ?on_rule:cfg.on_rule sys l,
-          Rewrite.normalize_opt ~fuel:cfg.fuel ?poll:cfg.poll ?on_rule:cfg.on_rule sys r )
+        ( Rewrite.normalize_opt ~fuel:cfg.fuel ?on_rule:cfg.on_rule sys l,
+          Rewrite.normalize_opt ~fuel:cfg.fuel ?on_rule:cfg.on_rule sys r )
       with
       | Some ln, Some rn
         when (not (Term.equal ln rn))

@@ -45,13 +45,11 @@ type config = {
       (** Total subgoals the search may visit before giving up with
           [Unknown] — the guarantee that the prover terminates even on
           unprovable goals whose case analysis would otherwise explode. *)
-  poll : (unit -> unit) option;
-      (** Cooperative deadline hook, threaded into every normalization the
-          search performs ({!Rewrite}); whatever it raises aborts the whole
-          proof attempt and propagates to the caller. *)
   on_rule : (string -> unit) option;
-      (** Per-rule attribution hook ({!Rewrite}), threaded the same way;
-          must not raise. *)
+      (** The rule hook of {!Rewrite}, threaded into every normalization
+          the search performs, so it fires once per rule application of
+          the whole proof attempt; whatever it raises (a deadline) aborts
+          the attempt and propagates to the caller. *)
 }
 
 val default_fuel : int
@@ -66,7 +64,6 @@ val config :
   ?max_induction_depth:int ->
   ?case_candidates:int ->
   ?max_goals:int ->
-  ?poll:(unit -> unit) ->
   ?on_rule:(string -> unit) ->
   Spec.t ->
   config

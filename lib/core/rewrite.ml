@@ -112,28 +112,25 @@ let match_app sys op args =
 
 exception Fuel_exhausted
 
-let no_poll () = ()
-
-(* [on_rule] is the observability sibling of [poll]: called with the
-   rule's name at every application, it feeds per-rule firing attribution
-   (the tracer of lib/obs) through the same site that charges fuel and
-   checks the deadline. [None] by default, so uninstrumented callers pay
-   only one option test per application. *)
+(* [on_rule] is the one per-application hook: called with the rule's name
+   at every application, after the step is charged against the fuel, it
+   is where a caller meters, attributes and interrupts the work (the
+   engine's per-request hook charges the request, feeds the tracer of
+   lib/obs and checks the deadline). [None] by default, so uninstrumented
+   callers pay only one option test per application. *)
 let fire on_rule r =
   match on_rule with None -> () | Some f -> f r.rule_name
 
 (* [metered ... go] runs [go counted]: [counted] charges one unit of fuel
-   per rule application, polls the deadline, attributes the rule, then
-   calls [on_apply]. Fuel exhaustion uses a dedicated exception, because a
-   caller-supplied [on_apply] may raise its own exceptions (Exit included)
-   to abort, and those must not be misreported as running out of fuel. *)
-let metered ?(fuel = default_fuel) ?(poll = no_poll) ?on_rule ~on_apply term go
-    =
+   per rule application, fires the rule hook, then calls [on_apply]. Fuel
+   exhaustion uses a dedicated exception, because a caller-supplied
+   [on_apply] may raise its own exceptions (Exit included) to abort, and
+   those must not be misreported as running out of fuel. *)
+let metered ?(fuel = default_fuel) ?on_rule ~on_apply term go =
   let remaining = ref fuel in
   let counted r =
     if !remaining <= 0 then raise Fuel_exhausted;
     decr remaining;
-    poll ();
     fire on_rule r;
     on_apply r
   in
@@ -206,8 +203,7 @@ end
 
 let memo_cutoff = 8
 
-let innermost ?memo ?(fuel = default_fuel) ?(poll = no_poll) ?on_rule sys
-    term =
+let innermost ?memo ?(fuel = default_fuel) ?on_rule sys term =
   let remaining = ref fuel in
   let rec norm t =
     match Term.view t with
@@ -268,12 +264,11 @@ let innermost ?memo ?(fuel = default_fuel) ?(poll = no_poll) ?on_rule sys
     match Match_tree.run_template_app tree op args' with
     | None -> Term.app_unchecked op args'
     | Some (r, regs, builder) -> apply r regs builder
-  (* one rule application: charge fuel, poll the deadline, attribute the
-     rule, then normalize its template *)
+  (* one rule application: charge fuel, fire the rule hook, then
+     normalize its template *)
   and apply r regs builder =
     if !remaining <= 0 then raise Fuel_exhausted;
     decr remaining;
-    poll ();
     fire on_rule r;
     build regs builder
   (* [build regs b = norm (Match_tree.instantiate regs b)], with the
@@ -452,24 +447,24 @@ module Reference = struct
     in
     go term
 
-  let run ?(strategy = Innermost) ?fuel ?poll ?on_rule ~on_apply sys term =
-    metered ?fuel ?poll ?on_rule ~on_apply term (fun on_apply ->
+  let run ?(strategy = Innermost) ?fuel ?on_rule ~on_apply sys term =
+    metered ?fuel ?on_rule ~on_apply term (fun on_apply ->
         match strategy with
         | Innermost -> innermost ~on_apply sys term
         | Outermost -> outermost ~on_apply sys term)
 
-  let normalize ?strategy ?fuel ?poll ?on_rule sys term =
-    run ?strategy ?fuel ?poll ?on_rule ~on_apply:(fun _ -> ()) sys term
+  let normalize ?strategy ?fuel ?on_rule sys term =
+    run ?strategy ?fuel ?on_rule ~on_apply:(fun _ -> ()) sys term
 
-  let normalize_opt ?strategy ?fuel ?poll ?on_rule sys term =
-    match normalize ?strategy ?fuel ?poll ?on_rule sys term with
+  let normalize_opt ?strategy ?fuel ?on_rule sys term =
+    match normalize ?strategy ?fuel ?on_rule sys term with
     | t -> Some t
     | exception Out_of_fuel _ -> None
 
-  let normalize_count ?strategy ?fuel ?poll ?on_rule sys term =
+  let normalize_count ?strategy ?fuel ?on_rule sys term =
     let n = ref 0 in
     let t =
-      run ?strategy ?fuel ?poll ?on_rule ~on_apply:(fun _ -> incr n) sys term
+      run ?strategy ?fuel ?on_rule ~on_apply:(fun _ -> incr n) sys term
     in
     (t, !n)
 end
@@ -478,11 +473,11 @@ end
 
 let normalize_count = innermost
 
-let normalize ?memo ?fuel ?poll ?on_rule sys term =
-  fst (normalize_count ?memo ?fuel ?poll ?on_rule sys term)
+let normalize ?memo ?fuel ?on_rule sys term =
+  fst (normalize_count ?memo ?fuel ?on_rule sys term)
 
-let normalize_opt ?memo ?fuel ?poll ?on_rule sys term =
-  match normalize ?memo ?fuel ?poll ?on_rule sys term with
+let normalize_opt ?memo ?fuel ?on_rule sys term =
+  match normalize ?memo ?fuel ?on_rule sys term with
   | t -> Some t
   | exception Out_of_fuel _ -> None
 

@@ -98,40 +98,36 @@ module Memo : sig
   val evictions : t -> int
 end
 
-(** {2 The deadline hook}
+(** {2 The rule hook}
 
     Every fuel-metered normalization entry point accepts an optional
-    [poll] callback, invoked once per rule application (at the same
-    site where fuel is charged). A caller enforcing a wall-clock budget
-    — the evaluation engine's per-request deadline — passes a closure
-    that checks a monotonic deadline and raises to abort; the exception
-    propagates out of the normalization untouched. Signal-based
-    interruption is unsound once the engine serves requests from
-    multiple threads, so interruption is cooperative: the rewriting
-    loop reaches a poll point constantly, bounded computations between
-    polls stay bounded. Omitting [poll] costs nothing.
-
-    [on_rule] is [poll]'s observability sibling, invoked at the same
-    site with the name of the rule being applied — per-rule firing
-    attribution for the tracing layer ([Obs.Trace]). Omitting it costs
-    one option test per application; it must not raise. *)
+    [on_rule] callback, invoked with the applied rule's name once per
+    rule application, right after the step is charged against the fuel
+    (builtin error / if-then-else steps are free and fire nothing). It is
+    the one per-application hook: the evaluation engine passes a
+    per-request closure that charges the request's fuel, attributes the
+    rule to the request's trace ([Obs.Trace]) and checks a wall-clock
+    deadline, raising to abort. Whatever the hook raises propagates out of
+    the normalization untouched. Signal-based interruption is unsound once
+    the engine serves requests from multiple threads, so interruption is
+    cooperative: the rewriting loop reaches the hook constantly, and
+    bounded computations between rule applications stay bounded.
+    Omitting [on_rule] costs one option test per application. *)
 
 val normalize :
   ?memo:Memo.t ->
   ?fuel:int ->
-  ?poll:(unit -> unit) ->
   ?on_rule:(string -> unit) ->
   system ->
   Term.t ->
   Term.t
 (** Raises {!Out_of_fuel}. With [memo], normalization goes through the
-    cache; an abort raised by [poll] leaves the cache sound: every entry
-    added so far is a true normal form. *)
+    cache; an abort raised by [on_rule] leaves the cache sound: every
+    entry added so far is a true normal form. *)
 
 val normalize_opt :
   ?memo:Memo.t ->
   ?fuel:int ->
-  ?poll:(unit -> unit) ->
   ?on_rule:(string -> unit) ->
   system ->
   Term.t ->
@@ -141,7 +137,6 @@ val normalize_opt :
 val normalize_count :
   ?memo:Memo.t ->
   ?fuel:int ->
-  ?poll:(unit -> unit) ->
   ?on_rule:(string -> unit) ->
   system ->
   Term.t ->
@@ -169,7 +164,6 @@ module Reference : sig
   val normalize :
     ?strategy:strategy ->
     ?fuel:int ->
-    ?poll:(unit -> unit) ->
     ?on_rule:(string -> unit) ->
     system ->
     Term.t ->
@@ -179,7 +173,6 @@ module Reference : sig
   val normalize_opt :
     ?strategy:strategy ->
     ?fuel:int ->
-    ?poll:(unit -> unit) ->
     ?on_rule:(string -> unit) ->
     system ->
     Term.t ->
@@ -188,7 +181,6 @@ module Reference : sig
   val normalize_count :
     ?strategy:strategy ->
     ?fuel:int ->
-    ?poll:(unit -> unit) ->
     ?on_rule:(string -> unit) ->
     system ->
     Term.t ->

@@ -105,8 +105,6 @@ let intern_stats () =
   in
   (live, Atomic.get counter)
 
-let intern_shards = shard_count
-
 (* FNV-style mixing of the head tag with child hashes; deterministic across
    runs (never derived from ids). *)
 let mix h x = ((h * 0x01000193) lxor x) land max_int

@@ -162,9 +162,6 @@ val intern_stats : unit -> int * int
 (** [(live, total)]: live entries across all intern-table shards and the
     total number of distinct terms ever created (the current id counter). *)
 
-val intern_shards : int
-(** Number of independently locked stripes of the intern table. *)
-
 val intern_fault_hook : (unit -> unit) option ref
 (** Test instrumentation only: when set, the hook runs inside the intern
     critical section, so tests can inject a failure there and assert that

@@ -12,7 +12,15 @@ let ok fmt = Fmt.kstr (fun payload -> Protocol.Ok_response payload) fmt
    attribute work to the request that did it. *)
 type ctx = { trace : Obs.Trace.t; mutable fuel : int }
 
-let null_ctx () = { trace = Obs.Trace.disabled; fuel = 0 }
+(* The request's one rule hook, handed to every metered loop it runs
+   (normalize's evaluation, prove's whole search) and fired at every rule
+   application. It charges the step, attributes it to the trace, then
+   checks the deadline, in that order: a request the deadline stops is
+   charged, and traced, every step it took. *)
+let rule_hook ctx poll name =
+  ctx.fuel <- ctx.fuel + 1;
+  Obs.Trace.rule ctx.trace name;
+  match poll with Some p -> p () | None -> ()
 
 let with_spec session name k =
   match Session.find session name with
@@ -26,11 +34,7 @@ let parse_term ?vars spec src k =
   | Ok term -> k term
   | Error e -> error "parse" "%a" Parser.pp_error e
 
-let charge_fuel ctx session steps =
-  ctx.fuel <- ctx.fuel + steps;
-  Metrics.add_fuel (Session.metrics session) steps
-
-let do_normalize ctx session entry term_src req_fuel poll =
+let do_normalize ctx session entry term_src req_fuel on_rule =
   parse_term (Session.entry_spec entry) term_src @@ fun term ->
   match Session.persist_find entry term with
   | Some (value, _cold_steps) ->
@@ -42,16 +46,13 @@ let do_normalize ctx session entry term_src req_fuel poll =
     let fuel = Limits.effective_fuel (Session.limits session) req_fuel in
     (* with_interp serializes evaluations on this specification's
        domain-local slot: the memo cache is mutated throughout the rewrite,
-       and a poll abort (deadline) must release the slot lock, which
-       [Session.with_interp] guarantees *)
+       and an abort raised by the rule hook (the deadline) must release the
+       slot lock, which [Session.with_interp] guarantees *)
     let value, steps =
       Obs.Trace.with_span ctx.trace "rewrite" @@ fun () ->
       Session.with_interp entry (fun interp ->
-          Interp.eval_count ~fuel ?poll
-            ?on_rule:(Obs.Trace.hook ctx.trace)
-            interp term)
+          Interp.eval_count ~fuel ~on_rule interp term)
     in
-    charge_fuel ctx session steps;
     match value with
     | Interp.Diverged ->
       error "fuel" "normalization exceeded %d rewrite steps" fuel
@@ -178,7 +179,7 @@ let do_testgen ctx session ~spec ~impl ~count ~seed =
         },
       true )
 
-let do_prove ctx session entry vars lhs_src rhs_src req_fuel poll =
+let do_prove ctx session entry vars lhs_src rhs_src req_fuel on_rule =
   let spec = Session.entry_spec entry in
   let vars = List.map (fun (name, sort) -> (name, Sort.v sort)) vars in
   parse_term ~vars spec lhs_src @@ fun lhs ->
@@ -190,16 +191,7 @@ let do_prove ctx session entry vars lhs_src rhs_src req_fuel poll =
     Limits.effective_fuel (Session.limits session)
       (Some (Option.value ~default:Proof.default_fuel req_fuel))
   in
-  (* every rule application inside the proof search reaches the poll hook,
-     so it both enforces the deadline and meters the fuel actually spent *)
-  let steps = ref 0 in
-  let counting () =
-    incr steps;
-    match poll with Some p -> p () | None -> ()
-  in
-  let config =
-    Proof.config ~fuel ~poll:counting ?on_rule:(Obs.Trace.hook ctx.trace) spec
-  in
+  let config = Proof.config ~fuel ~on_rule spec in
   let name = Spec.name spec in
   (* a proof, once found, stays valid under any fuel budget, so Proved
      replies persist under the canonical goal rendering; Unknown is never
@@ -212,9 +204,7 @@ let do_prove ctx session entry vars lhs_src rhs_src req_fuel poll =
   in
   find_or_compute ctx session (Some entry) ~kind:"proof" ~key:meta_key
   @@ fun () ->
-  let outcome = Proof.prove config (lhs, rhs) in
-  charge_fuel ctx session !steps;
-  match outcome with
+  match Proof.prove config (lhs, rhs) with
   | Proof.Proved proof ->
     ( ok "prove %s proved size=%d depth=%d" name (Proof.proof_size proof)
         (Proof.proof_depth proof),
@@ -350,12 +340,11 @@ let do_session_status session name =
         body = List.map Docsession.Manager.obligation_line obligations;
       }
 
-let handle_request ?poll ?ctx ?body session request =
-  let ctx = match ctx with Some c -> c | None -> null_ctx () in
+let dispatch ctx poll body session request =
   match request with
   | Protocol.Normalize { spec; term; fuel } ->
     with_spec session spec @@ fun entry ->
-    do_normalize ctx session entry term fuel poll
+    do_normalize ctx session entry term fuel (rule_hook ctx poll)
   | Protocol.Check { spec } ->
     with_spec session spec @@ fun entry -> do_check ctx session entry
   | Protocol.Skeletons { spec } -> with_spec session spec (do_skeletons ctx)
@@ -365,7 +354,7 @@ let handle_request ?poll ?ctx ?body session request =
     do_testgen ctx session ~spec ~impl ~count ~seed
   | Protocol.Prove { spec; vars; lhs; rhs; fuel } ->
     with_spec session spec @@ fun entry ->
-    do_prove ctx session entry vars lhs rhs fuel poll
+    do_prove ctx session entry vars lhs rhs fuel (rule_hook ctx poll)
   | Protocol.Session_open { spec } -> do_session_open ctx session spec
   | Protocol.Session_edit { spec; lines } -> (
     match body with
@@ -380,6 +369,10 @@ let handle_request ?poll ?ctx ?body session request =
   | Protocol.Metrics -> do_metrics session
   | Protocol.Slowlog -> do_slowlog session
   | Protocol.Quit -> Protocol.Ok_response "bye"
+
+let handle_request session request =
+  let ctx = { trace = Obs.Trace.disabled; fuel = 0 } in
+  dispatch ctx None None session request
 
 let feed_slowlog session request ctx elapsed result =
   match (Session.slowlog session, result) with
@@ -460,7 +453,7 @@ let handle_line_obs ?read_line session line =
       | Ok body -> (
         match
           Limits.with_deadline (Session.limits session).Limits.timeout
-            (fun poll -> handle_request ?poll ~ctx ?body session request)
+            (fun poll -> dispatch ctx poll body session request)
         with
         | Ok response -> response
         | Error `Timeout ->

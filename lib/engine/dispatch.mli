@@ -6,13 +6,21 @@
     structured [error] line and leaves the session intact for the next
     request. Every request updates the session's {!Metrics}.
 
+    Each normalize and prove request builds one rule hook, the core's
+    [?on_rule] ({!Adt.Rewrite}), handed to every metered loop it runs. At
+    each rule application the hook charges one step to the request's
+    fuel, attributes the rule to the request's trace, then checks the
+    request's deadline, so the fuel a request is charged (in [stats], the
+    fuel histogram and the slow log) counts every step it took, a
+    timed-out request's included.
+
     When the session has tracing on ({!Session.tracing}), each request is
     wrapped in an {!Obs.Trace} span tree — [parse], [dispatch] (with a
     [rewrite] child around the evaluation proper), [respond] — with
-    per-rule step attribution fed by the core's [?on_rule] hooks; requests
-    at or above the session's slow-log threshold are recorded into
-    {!Session.slowlog}. With tracing off, the cost is one option test per
-    rule application. *)
+    per-rule step attribution fed by that hook; requests at or above the
+    session's slow-log threshold are recorded into {!Session.slowlog}.
+    With tracing off, the hook still runs, one closure call per rule
+    application, and its trace step is a no-op. *)
 
 type outcome =
   | Silent  (** Blank or comment line: no response. *)
@@ -20,11 +28,6 @@ type outcome =
   | Closed of string
       (** A [quit] request, with its rendered reply: the server loop
           prints the reply and stops. *)
-
-(** Per-request observation: the span tree under construction and the
-    rewrite steps this request has charged (the session-wide
-    [fuel_spent] cannot attribute work to a request). *)
-type ctx = { trace : Obs.Trace.t; mutable fuel : int }
 
 val handle_line :
   ?read_line:(unit -> string option) -> Session.t -> string -> outcome
@@ -47,18 +50,12 @@ val handle_line_obs :
 (** {!handle_line} plus the finished trace, when the session traces —
     what [adtc trace] prints as a JSON span tree. The trace's
     [total_steps] equals the fuel the request charged, by construction:
-    both are fed from the same rule applications. *)
+    the one rule hook feeds both, step by step, before it checks the
+    deadline. *)
 
-val handle_request :
-  ?poll:(unit -> unit) ->
-  ?ctx:ctx ->
-  ?body:string ->
-  Session.t ->
-  Protocol.request ->
-  Protocol.response
-(** The evaluation step alone — fuel accounting included, but no
-    request/error/latency counters (exposed for unit tests). [poll] is
-    the deadline hook handed to every metered loop the request runs;
-    {!handle_line} obtains it from {!Limits.with_deadline}. [ctx]
-    defaults to a fresh untraced context. [body] is [Session_edit]'s
-    replacement source (already read off the transport). *)
+val handle_request : Session.t -> Protocol.request -> Protocol.response
+(** The evaluation step alone: untraced, with no deadline, and recording
+    no metrics — no request, error, latency or fuel counters (what
+    [adtc stats] uses to answer its final [stats] request without
+    counting it). A [session-edit] answers a protocol error: it has no
+    transport to read its body from. *)

@@ -9,8 +9,9 @@
       normalization loop (a request may lower but never raise the
       session's ceiling);
     - a {b wall-clock} budget — a deadline checked cooperatively at every
-      rewrite step (the {!Adt.Rewrite} poll hook), which interrupts work
-      the fuel metric prices badly (pathological matching, huge terms).
+      rewrite step (by the request's {!Adt.Rewrite} rule hook, after the
+      step is charged), which interrupts work the fuel metric prices
+      badly (pathological matching, huge terms).
 
     Either exhaustion yields a structured error response; the session and
     its cache survive. The deadline is cooperative rather than
@@ -39,7 +40,8 @@ exception Timed_out
 val with_deadline :
   float option -> ((unit -> unit) option -> 'a) -> ('a, [ `Timeout ]) result
 (** [with_deadline timeout f] calls [f poll] where [poll] (to be invoked
-    from inside the metered loop — pass it to {!Adt.Interp.eval_count} or
+    from inside the metered loop — the dispatcher calls it last in the
+    request's rule hook, the [?on_rule] of {!Adt.Interp.eval_count} and
     {!Adt.Proof.config}) raises {!Timed_out} once [timeout] seconds have
     elapsed; the escape is caught here and reported as [Error `Timeout].
     [f None] is called when [timeout] is [None] — no limit. Work that

@@ -82,8 +82,6 @@ let record_malformed_request t =
       s.malformed <- s.malformed + 1;
       s.errors <- s.errors + 1)
 
-let add_fuel t steps = with_stripe t (fun s -> s.fuel_spent <- s.fuel_spent + steps)
-
 let bump_table table key =
   Hashtbl.replace table key
     (1 + Option.value ~default:0 (Hashtbl.find_opt table key))
@@ -101,7 +99,9 @@ let record_outcome t ~latency ?fuel ~error () =
       Obs.Hist.observe s.latency latency;
       (match fuel with
       | None -> ()
-      | Some steps -> Obs.Hist.observe s.fuel_hist (float_of_int steps));
+      | Some steps ->
+        s.fuel_spent <- s.fuel_spent + steps;
+        Obs.Hist.observe s.fuel_hist (float_of_int steps));
       if error then s.errors <- s.errors + 1)
 
 (* {1 Snapshots} *)

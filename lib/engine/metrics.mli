@@ -44,11 +44,6 @@ val record_malformed_request : t -> unit
 (** One malformed line: counts towards [requests], [malformed], and
     [errors] atomically (one stripe lock). *)
 
-val add_fuel : t -> int -> unit
-(** Adds rewrite-rule applications to the running fuel total ([prove]
-    requests included, each rule application inside the proof search
-    counting once). *)
-
 val record_rule_hits : t -> string list -> unit
 (** Bumps the per-rule lint finding counter for each ADTxxx code, under
     one stripe lock. *)
@@ -59,10 +54,12 @@ val record_testgen_run : t -> failures:string list -> unit
 
 val record_outcome :
   t -> latency:float -> ?fuel:int -> error:bool -> unit -> unit
-(** Per-request epilogue: observes wall-clock [latency] seconds, the
-    request's [fuel] steps when it was fuel-metered, and bumps the error
-    counter when the response was an error — all under one stripe
-    lock. *)
+(** Per-request epilogue: observes wall-clock [latency] seconds, adds the
+    request's [fuel] steps (when it was fuel-metered: normalize and prove,
+    each rule application counting once) to [fuel_spent] and observes
+    them in [fuel_hist], and bumps the error counter when the response
+    was an error — all under one stripe lock. The one place fuel reaches
+    the session totals. *)
 
 (** {1 Snapshots} *)
 

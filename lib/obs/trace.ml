@@ -102,8 +102,6 @@ let rule t name =
     Hashtbl.replace s.rule_counts name
       (1 + Option.value ~default:0 (Hashtbl.find_opt s.rule_counts name))
 
-let hook t = match t with Disabled -> None | Enabled _ -> Some (rule t)
-
 let finish t =
   match t with
   | Disabled -> None

@@ -3,16 +3,15 @@
     A tracer follows one request through the engine: a root span opened at
     creation, child spans for each phase (parse → dispatch → rewrite →
     respond), and per-rule firing counts fed by the rewriting loop through
-    the same hook plumbing as the cooperative deadline
-    ({!Adt.Rewrite} [?on_rule]). Each tracer carries a process-unique
-    trace ID drawn from an atomic counter, so concurrent connection
-    threads can trace simultaneously and slow-request log entries remain
-    attributable.
+    the engine's one per-request rule hook ({!Adt.Rewrite} [?on_rule]),
+    which also charges fuel and checks the deadline. Each tracer carries a
+    process-unique trace ID drawn from an atomic counter, so concurrent
+    connection threads can trace simultaneously and slow-request log
+    entries remain attributable.
 
     The whole module is built around {!disabled}, a tracer that does
-    nothing: every operation on it is a constant-time no-op and {!hook}
-    returns [None] so the rewriting loop does not even test a closure —
-    tracing costs ~nothing when off (benchmark E11 quantifies this).
+    nothing: every operation on it is a constant-time no-op, so tracing
+    costs ~nothing when off (benchmark E11 quantifies this).
 
     A tracer is owned by the single thread serving its request; it is not
     itself thread-safe (the ID counter is). *)
@@ -37,8 +36,9 @@ type result = {
 type t
 
 val disabled : t
-(** The no-op tracer: [enabled] is false, [hook] is [None], [finish] is
-    [None], span operations run their thunk and record nothing. *)
+(** The no-op tracer: [enabled] is false, [finish] is [None], span
+    operations run their thunk and record nothing, {!rule} does
+    nothing. *)
 
 val create : ?clock:(unit -> float) -> string -> t
 (** [create name] starts an enabled tracer whose root span is [name] and
@@ -61,11 +61,6 @@ val record_span : t -> string -> float -> unit
 val rule : t -> string -> unit
 (** Attributes one rule firing to the innermost open span and to the
     per-rule totals. *)
-
-val hook : t -> (string -> unit) option
-(** [Some (rule t)] when enabled, [None] when disabled — pass directly as
-    the [?on_rule] argument of the rewriting entry points, so a disabled
-    tracer installs no closure at all. *)
 
 val finish : t -> result option
 (** Closes every span still open (root included) and returns the

@@ -132,7 +132,7 @@ let test_overlap_detection () =
   let spec = Spec.with_axioms [ extra ] nat_spec in
   Alcotest.(check (list term_testable)) "still complete" [] (missing_of spec);
   Alcotest.(check bool) "overlaps reported" true
-    ((Consistency.check spec).Consistency.pairs <> [])
+    ((Consistency.check spec) <> [])
 
 let test_non_executable_axioms_do_not_cover () =
   (* [seed]'s right-hand side has a variable its left-hand side does not

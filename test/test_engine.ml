@@ -458,6 +458,47 @@ let test_timeout_classification () =
   Alcotest.(check string) "still serving" "ok normalize steps=1 true"
     (reply session "normalize Queue IS_EMPTY?(NEW)")
 
+(* the number after [key=] in a reply or exposition line *)
+let field_after key text =
+  let k = String.length key in
+  let rec find i =
+    if i + k > String.length text then Alcotest.failf "no %S in %S" key text
+    else if String.equal (String.sub text i k) key then
+      Scanf.sscanf (String.sub text (i + k) (String.length text - i - k))
+        "%f" Float.to_int
+    else find (i + 1)
+  in
+  find 0
+
+(* a timed-out request is charged the steps it ran: the rule hook charges
+   each step before it checks the deadline, so the slow log, the stats
+   counter, the fuel histogram and the trace all read the same nonzero
+   count *)
+let test_timeout_charges_fuel () =
+  let session =
+    Session.create ~timeout:0.001 ~slowlog_ms:0. [ Queue_spec.spec ]
+  in
+  let term = expensive_queue_term ~adds:300 ~removes:250 in
+  let outcome, trace =
+    Dispatch.handle_line_obs session ("normalize Queue " ^ term)
+  in
+  (match outcome with
+  | Dispatch.Reply r -> check_prefix "deadline answers" "error timeout" r
+  | _ -> Alcotest.fail "expected a reply");
+  let slow = reply session "slowlog" in
+  let logged = field_after " fuel=" slow in
+  Alcotest.(check bool)
+    (Fmt.str "slowlog charges the steps run (%d)" logged)
+    true (logged >= 1);
+  Alcotest.(check int) "stats fuel is the slowlog fuel" logged
+    (field_after " fuel=" (reply session "stats"));
+  Alcotest.(check int) "trace steps are the slowlog fuel" logged
+    (Option.get trace).Obs.Trace.total_steps;
+  Alcotest.(check int) "the fuel histogram sums the slowlog fuel" logged
+    (field_after "adtc_request_fuel_steps_sum " (Session.prometheus session));
+  Alcotest.(check string) "still serving" "ok normalize steps=1 true"
+    (reply session "normalize Queue IS_EMPTY?(NEW)")
+
 let test_prove_fuel_clamp () =
   let goal =
     "prove fuel=1000000 Queue q:Queue,i:Item IS_EMPTY?(REMOVE(ADD(q, i))) == \
@@ -533,6 +574,8 @@ let suite =
     Helpers.case "deadlines interrupt polling work, never finished work"
       test_with_deadline;
     Helpers.case "timeouts answer error timeout" test_timeout_classification;
+    Helpers.case "a timed-out request is charged its steps"
+      test_timeout_charges_fuel;
     Helpers.case "prove fuel is clamped and metered" test_prove_fuel_clamp;
     Helpers.case "effective fuel caps at the session ceiling" test_effective_fuel;
     Helpers.case "session-edit errors are typed" test_session_edit_errors;

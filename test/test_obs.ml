@@ -161,8 +161,6 @@ let test_trace_disabled_is_inert () =
   let t = Obs.Trace.disabled in
   Alcotest.(check bool) "disabled" false (Obs.Trace.enabled t);
   Alcotest.(check bool) "no id" true (Option.is_none (Obs.Trace.id t));
-  Alcotest.(check bool) "no hook closure" true
-    (Option.is_none (Obs.Trace.hook t));
   Alcotest.(check int) "with_span still runs the thunk" 7
     (Obs.Trace.with_span t "x" (fun () -> 7));
   Obs.Trace.rule t "a";
@@ -217,8 +215,8 @@ let test_export_rendering () =
 
 (* {1 Engine integration} *)
 
-let queue_session ?slowlog_ms ?tracing () =
-  Session.create ?slowlog_ms ?tracing [ Queue_spec.spec ]
+let queue_session ?slowlog_ms ?tracing ?timeout () =
+  Session.create ?slowlog_ms ?tracing ?timeout [ Queue_spec.spec ]
 
 let reply session line =
   match Dispatch.handle_line session line with
@@ -334,8 +332,7 @@ let test_slowlog_verb () =
       "spans=parse:";
     ]
 
-let test_trace_steps_match_fuel () =
-  let session = queue_session ~tracing:true () in
+let check_trace_steps_match_fuel session =
   let line = "normalize Queue FRONT(REMOVE(ADD(ADD(NEW, ITEM1), ITEM2)))" in
   let outcome, result = Dispatch.handle_line_obs session line in
   (match outcome with
@@ -365,6 +362,15 @@ let test_trace_steps_match_fuel () =
     (fuel' - fuel) p.Obs.Trace.total_steps;
   Alcotest.(check bool) "the proof search did rewrite" true
     (p.Obs.Trace.total_steps > 0)
+
+(* without a deadline and under one, whose check is the rule hook's third
+   part: it must not change what the first two charge and attribute *)
+let test_trace_steps_match_fuel () =
+  List.iter check_trace_steps_match_fuel
+    [
+      queue_session ~tracing:true ();
+      queue_session ~tracing:true ~timeout:60. ();
+    ]
 
 let suite =
   [

@@ -241,7 +241,7 @@ let test_adt002_adt022_consistent () =
                   match verdict with
                   | Consistency.Diverges _ -> true
                   | _ -> false)
-                a.Verify.report.Consistency.pairs
+                a.Verify.report
             in
             let adt002_diverging =
               List.exists
